@@ -23,7 +23,7 @@ race:
 # trace. Runs vet first and the coverage floor last: the chaos gate is
 # also the lint and coverage gate.
 chaos: vet
-	$(GO) test -race -run 'Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|CountPatched|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits' \
+	$(GO) test -race -run 'Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|CountPatched|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|TLB' \
 		./internal/core/ ./internal/criu/ ./internal/faultinject/ ./internal/fleet/ ./internal/kernel/ ./internal/obs/ ./internal/supervise/ .
 	$(GO) test -race -run 'Driver|Pool|Merge|Schedule|Ramp|Poisson|TraceCSV|Histogram|Mix|RolloutUnderLoad|SteadyState|HaltReleases|ConfigValidation|LivePatch|Scrub' \
 		./internal/loadgen/ ./internal/slo/
@@ -41,12 +41,14 @@ cover:
 		printf "coverage %.1f%% (floor %.1f%%)\n", t, f }'
 
 # Short fuzz smoke over the image decoder, the rollout-journal
-# decoder, and the basic-block translator (corpus seeds always run as
-# part of `test`; this adds a few seconds of mutation each).
+# decoder, the basic-block translator and the guest-memory TLB
+# (corpus seeds always run as part of `test`; this adds a few seconds
+# of mutation each).
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzUnmarshalImages -fuzztime 10s ./internal/criu/
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzBlockCacheDecode -fuzztime 10s ./internal/kernel/
+	$(GO) test -run '^$$' -fuzz FuzzGuestMemoryTLB -fuzztime 10s ./internal/kernel/
 
 # The tier-1 gate: everything that must pass before a commit.
 check: build vet test race

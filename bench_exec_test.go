@@ -4,8 +4,10 @@
 // 1/4/16 replicas. Each sub-benchmark runs the identical workload
 // through both engines and reports guest throughput — virtual-clock
 // ticks retired per wall second — for each, plus the speedup ratio.
-// `make bench` records the numbers in BENCH_pr10.json; the headline
-// acceptance bar is speedup ≥ 5× on the CPU-bound guests.
+// `make bench` records the numbers. Both engines share the software
+// TLB's allocation-free fetch, load and store, so the ratio measures
+// only the decode the cache skips: about 2× on the CPU-bound guests,
+// about 1× on the syscall-heavy web server.
 //
 // Virtual time is engine-invariant by construction (the translator
 // charges the clock instruction-for-instruction like the
@@ -48,8 +50,7 @@ func reportEngines(b *testing.B, workload func(b *testing.B, mode kernel.ExecMod
 
 // BenchmarkExecEngineSpec: the Figure 7 CPU-bound guests run to
 // completion on N independent machines. Pure straight-line and loop
-// execution — the translation cache's best case and the acceptance
-// headline.
+// execution — the translation cache's best case.
 func BenchmarkExecEngineSpec(b *testing.B) {
 	for _, name := range []string{"605.mcf_s", "631.deepsjeng_s"} {
 		prof, ok := specgen.ProfileByName(name)

@@ -4,9 +4,9 @@ package kernel
 // engine. The interpreter (exec.go) fetches and decodes every
 // instruction on every execution; the translating engine decodes each
 // basic block once — on its first execution — and replays the
-// pre-decoded instruction vector afterwards, skipping the dominant
-// per-instruction fetch/decode cost (a permission check, a page-table
-// walk per byte, and an allocation, per instruction, per execution).
+// pre-decoded instruction vector afterwards, skipping the
+// per-instruction fetch (a TLB lookup and a ten-byte copy, tlb.go) and
+// decode, which together dominate the interpreter's cost.
 //
 // Correctness is structural, not re-derived: translation IS the first
 // interpreted execution. The recorder runs the ordinary
@@ -110,17 +110,22 @@ type cachedInst struct {
 	in   isa.Inst
 }
 
+// pageGen is one page a block was decoded from, with the page's
+// generation counter observed at first touch.
+type pageGen struct {
+	pn, gen uint64
+}
+
 // block is one cached (super)block.
 type block struct {
 	entry uint64
 	insts []cachedInst
-	// pages are the sorted page numbers the recorder's fetch windows
-	// touched (including over-fetch spill into a neighboring page);
-	// gens are the generation counters observed at first touch. A
-	// dispatch-time mismatch against the live counters means the
-	// bytes — or the fetch behavior — may have changed: re-translate.
-	pages  []uint64
-	gens   []uint64
+	// pages are the pages, sorted, the recorder's fetch windows touched
+	// (including over-fetch spill into a neighboring page). A
+	// dispatch-time generation mismatch against the live counters
+	// means the bytes — or the fetch behavior — may have changed:
+	// re-translate.
+	pages  []pageGen
 	layout uint64 // Memory.layoutGen at recording time
 	valid  bool   // cleared by eviction; checked mid-replay
 }
@@ -128,8 +133,8 @@ type block struct {
 // fresh reports whether every page the block was decoded from is
 // still at its recorded generation.
 func (b *block) fresh(mem *Memory) bool {
-	for i, pn := range b.pages {
-		if mem.gens[pn] != b.gens[i] {
+	for _, pg := range b.pages {
+		if mem.gens[pg.pn] != pg.gen {
 			return false
 		}
 	}
@@ -163,11 +168,36 @@ func (s *BlockCacheStats) Add(o BlockCacheStats) {
 }
 
 // blockCache holds one address space's translated blocks, keyed by
-// entry address, with a per-page index for eviction.
+// entry address, with a per-page index for eviction. The blocks and
+// their instruction and page vectors are carved out of slabs, so a
+// translation costs no allocation of its own.
 type blockCache struct {
 	blocks map[uint64]*block
 	byPage map[uint64][]*block
 	stats  BlockCacheStats
+
+	blockSlab slab[block]
+	instSlab  slab[cachedInst]
+	pageSlab  slab[pageGen]
+}
+
+// slab hands out pieces of shared backing arrays. A full chunk is
+// replaced by one twice its size (up to slabMaxChunk elements); the GC
+// frees the old chunk once no block holds a piece of it, which is why
+// eviction drops a block's vectors.
+type slab[T any] struct{ chunk []T }
+
+const slabMaxChunk = 1024
+
+// take returns n zeroed elements with capacity n, so appending to the
+// result can never write into a neighbor's piece.
+func (s *slab[T]) take(n int) []T {
+	if cap(s.chunk)-len(s.chunk) < n {
+		s.chunk = make([]T, 0, max(n, min(2*cap(s.chunk), slabMaxChunk), 8))
+	}
+	k := len(s.chunk)
+	s.chunk = s.chunk[:k+n]
+	return s.chunk[k : k+n : k+n]
 }
 
 func newBlockCache() *blockCache {
@@ -208,23 +238,21 @@ func (bc *blockCache) lookup(mem *Memory, addr uint64) *block {
 }
 
 // insert caches a freshly recorded block, replacing any previous
-// entry at the same address.
-func (bc *blockCache) insert(b *block, touched map[uint64]uint64) {
-	if old := bc.blocks[b.entry]; old != nil {
+// entry at the same address. insts and touched are the recorder's
+// buffers; they are copied into the cache's slabs.
+func (bc *blockCache) insert(entry, layout uint64, insts []cachedInst, touched []pageGen) {
+	if old := bc.blocks[entry]; old != nil {
 		bc.evict(old)
 	}
-	b.pages = make([]uint64, 0, len(touched))
-	for pn := range touched {
-		b.pages = append(b.pages, pn)
-	}
-	sort.Slice(b.pages, func(i, j int) bool { return b.pages[i] < b.pages[j] })
-	b.gens = make([]uint64, len(b.pages))
-	for i, pn := range b.pages {
-		b.gens[i] = touched[pn]
-	}
-	bc.blocks[b.entry] = b
-	for _, pn := range b.pages {
-		bc.byPage[pn] = append(bc.byPage[pn], b)
+	b := &bc.blockSlab.take(1)[0]
+	*b = block{entry: entry, layout: layout, valid: true}
+	b.insts = bc.instSlab.take(len(insts))
+	copy(b.insts, insts)
+	b.pages = bc.pageSlab.take(len(touched))
+	copy(b.pages, touched)
+	bc.blocks[entry] = b
+	for _, pg := range b.pages {
+		bc.byPage[pg.pn] = append(bc.byPage[pg.pn], b)
 	}
 	bc.stats.Translations++
 }
@@ -237,8 +265,8 @@ func (bc *blockCache) evict(b *block) {
 	if bc.blocks[b.entry] == b {
 		delete(bc.blocks, b.entry)
 	}
-	for _, pn := range b.pages {
-		list := bc.byPage[pn]
+	for _, pg := range b.pages {
+		list := bc.byPage[pg.pn]
 		kept := list[:0]
 		for _, o := range list {
 			if o != b {
@@ -246,11 +274,15 @@ func (bc *blockCache) evict(b *block) {
 			}
 		}
 		if len(kept) == 0 {
-			delete(bc.byPage, pn)
+			delete(bc.byPage, pg.pn)
 		} else {
-			bc.byPage[pn] = kept
+			bc.byPage[pg.pn] = kept
 		}
 	}
+	// A replay in flight holds its own copy of the insts header. The
+	// block itself may stay reachable from its slab chunk; its vectors
+	// must not.
+	b.insts, b.pages = nil, nil
 }
 
 // invalidatePage evicts every block whose fetch window touched pn —
@@ -270,6 +302,7 @@ func (bc *blockCache) invalidatePage(pn uint64) {
 func (bc *blockCache) flushAll() {
 	for _, b := range bc.blocks {
 		b.valid = false
+		b.insts, b.pages = nil, nil
 	}
 	bc.blocks = map[uint64]*block{}
 	bc.byPage = map[uint64][]*block{}
@@ -312,7 +345,10 @@ func (m *Memory) CachedBlocks() []BlockInfo {
 			Entry: b.entry,
 			Addrs: make([]uint64, len(b.insts)),
 			Insts: make([]isa.Inst, len(b.insts)),
-			Pages: append([]uint64(nil), b.pages...),
+			Pages: make([]uint64, len(b.pages)),
+		}
+		for i, pg := range b.pages {
+			bi.Pages[i] = pg.pn
 		}
 		for i := range b.insts {
 			bi.Addrs[i] = b.insts[i].addr
@@ -377,9 +413,9 @@ func (m *Machine) verifyBlock(p *Process, b *block) bool {
 	for i := range b.insts {
 		ci := &b.insts[i]
 		var in isa.Inst
-		code, err := p.mem.FetchGuest(ci.addr, maxInstLen)
+		n, err := p.mem.fetchRef(ci.addr, p.fetchBuf[:])
 		if err == nil {
-			in, err = isa.Decode(code)
+			in, err = isa.Decode(p.fetchBuf[:n])
 		}
 		if err != nil || in != ci.in {
 			detail := fmt.Sprintf("cached %v, live decode %v", ci.in, in)
@@ -447,11 +483,12 @@ func (m *Machine) runSliceTranslated(p *Process, limit uint64) uint64 {
 // its own page), or when a syscall would block (uncharged, exactly
 // like the interpreter).
 func (m *Machine) replay(p *Process, b *block, limit uint64) (charged uint64, blocked bool) {
-	for i := range b.insts {
+	insts := b.insts // eviction drops b.insts; this replay stops at b.valid
+	for i := range insts {
 		if charged >= limit || p.exited {
 			return charged, false
 		}
-		ci := &b.insts[i]
+		ci := &insts[i]
 		if p.rip != ci.addr {
 			return charged, false
 		}
@@ -475,30 +512,25 @@ func (m *Machine) replay(p *Process, b *block, limit uint64) (charged uint64, bl
 // its own recording — can never validate.
 func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint64, blocked bool) {
 	entry := p.rip
-	insts := make([]cachedInst, 0, 16)
-	touched := map[uint64]uint64{}
-	var seen map[uint64]bool // lazily allocated; only superblocks need it
+	var instBuf [32]cachedInst
+	insts := instBuf[:0]
+	var touchedBuf [4]pageGen
+	touched := touchedBuf[:0] // sorted by page number
+	var seen map[uint64]bool  // lazily allocated; only superblocks need it
 	layout := p.mem.layoutGen
-	finalize := func() {
-		if len(insts) > 0 {
-			bc.insert(&block{entry: entry, insts: insts, layout: layout, valid: true}, touched)
-		}
-	}
 	for charged < limit && !p.exited && len(insts) < maxBlockInsts {
 		addr := p.rip
-		code, err := p.mem.FetchGuest(addr, maxInstLen)
+		n, err := p.mem.fetch(addr, &p.fetchBuf)
 		if err != nil {
 			m.fault(p, SIGSEGV, addr)
 			charged++
 			m.clock++
 			break
 		}
-		for pn := addr / PageSize; pn <= (addr+uint64(len(code))-1)/PageSize; pn++ {
-			if _, ok := touched[pn]; !ok {
-				touched[pn] = p.mem.gens[pn]
-			}
+		for pn := addr / PageSize; pn <= (addr+uint64(n)-1)/PageSize; pn++ {
+			touched = touchPage(touched, pn, p.mem.gens[pn])
 		}
-		in, derr := isa.Decode(code)
+		in, derr := isa.Decode(p.fetchBuf[:n])
 		if derr != nil {
 			m.fault(p, SIGSEGV, addr)
 			charged++
@@ -509,8 +541,8 @@ func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint
 			// Blocking syscall: uncharged and unrecorded. The block
 			// ends just before it; the syscall re-runs (and is
 			// re-translated) when the process is next scheduled.
-			finalize()
-			return charged, true
+			blocked = true
+			break
 		}
 		charged++
 		m.clock++
@@ -545,6 +577,24 @@ func (m *Machine) record(p *Process, bc *blockCache, limit uint64) (charged uint
 			break
 		}
 	}
-	finalize()
-	return charged, false
+	if len(insts) > 0 {
+		bc.insert(entry, layout, insts, touched)
+	}
+	return charged, blocked
+}
+
+// touchPage adds page pn at generation gen to the sorted touched set,
+// unless it is already there: the first touch's generation counts.
+func touchPage(touched []pageGen, pn, gen uint64) []pageGen {
+	i := len(touched)
+	for i > 0 && touched[i-1].pn >= pn {
+		if touched[i-1].pn == pn {
+			return touched
+		}
+		i--
+	}
+	touched = append(touched, pageGen{})
+	copy(touched[i+1:], touched[i:])
+	touched[i] = pageGen{pn: pn, gen: gen}
+	return touched
 }

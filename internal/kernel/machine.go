@@ -353,7 +353,8 @@ func (m *Machine) AttachStdio(p *Process, fd, stdNo int) {
 	}
 }
 
-// terminate marks a process dead and releases its descriptors.
+// terminate marks a process dead and releases its descriptors and its
+// TLB.
 func (m *Machine) terminate(p *Process, code int, sig Signal) {
 	if p.exited {
 		return
@@ -361,6 +362,7 @@ func (m *Machine) terminate(p *Process, code int, sig Signal) {
 	p.exited = true
 	p.exitCode = code
 	p.killedBy = sig
+	p.mem.tlb = nil // dead processes stay in the table; their TLBs must not
 	for _, d := range p.fds {
 		m.closeFD(p, d)
 	}
@@ -445,7 +447,8 @@ func (m *Machine) Run(maxSteps uint64) uint64 {
 // retired and whether any live process existed to schedule at all.
 // The watchdog is NOT poked here — callers do that between rounds.
 func (m *Machine) runRound(budget uint64) (executed uint64, ran bool) {
-	pids := make([]int, 0, len(m.procs))
+	var buf [16]int // the round's PID list stays on the stack for small tables
+	pids := buf[:0]
 	for pid, p := range m.procs {
 		if !p.exited {
 			pids = append(pids, pid)

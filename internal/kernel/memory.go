@@ -1,8 +1,10 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"github.com/dynacut/dynacut/internal/delf"
@@ -82,6 +84,11 @@ type Memory struct {
 	bc        *blockCache
 	gens      map[uint64]uint64
 	layoutGen uint64
+
+	// tlb is the software TLB of the guest access fast path (tlb.go),
+	// allocated on the first guest access and released when the
+	// owning process terminates. Not cloned.
+	tlb *tlb
 }
 
 func newMemory() *Memory {
@@ -127,6 +134,7 @@ func (m *Memory) CloneCoW() *Memory {
 		c.cow[pn] = struct{}{}
 		m.cow[pn] = struct{}{}
 	}
+	m.tlbFlush() // every cached "private" bit just went stale
 	for pn := range m.dirty {
 		c.dirty[pn] = struct{}{}
 	}
@@ -144,6 +152,7 @@ func (m *Memory) breakCoW(pn uint64) {
 	}
 	m.pages[pn] = append([]byte(nil), m.pages[pn]...)
 	delete(m.cow, pn)
+	m.tlbDrop(pn)
 }
 
 // SharedPageCount reports how many pages still share backing with a
@@ -182,8 +191,8 @@ func (m *Memory) noteSilentWrite(pn uint64) {
 }
 
 // noteLayoutChange records a VMA-table change (Map/Unmap/Protect) and
-// flushes the entire block cache. Layout changes can alter fetch
-// behavior without touching any page contents — revoking execute
+// flushes the entire block cache and the TLB. Layout changes can alter
+// fetch behavior without touching any page contents — revoking execute
 // permission, unmapping a page a block's over-fetch window touched,
 // mapping fresh pages where a fetch previously stopped — so per-page
 // generations are not enough; every cached block is invalidated.
@@ -192,6 +201,7 @@ func (m *Memory) noteLayoutChange() {
 	if m.bc != nil {
 		m.bc.flushAll()
 	}
+	m.tlbFlush()
 }
 
 // TextGen returns the current mutation generation of page pn (zero
@@ -207,11 +217,29 @@ func (m *Memory) VMAs() []VMA {
 
 // VMAAt returns the VMA containing addr.
 func (m *Memory) VMAAt(addr uint64) (VMA, bool) {
-	i := sort.Search(len(m.vmas), func(i int) bool { return m.vmas[i].End > addr })
-	if i < len(m.vmas) && m.vmas[i].Contains(addr) {
+	if i := m.vmaIndex(addr); i >= 0 {
 		return m.vmas[i], true
 	}
 	return VMA{}, false
+}
+
+// vmaIndex returns the index in m.vmas of the VMA containing addr, or
+// -1. The guest access paths use it instead of VMAAt so a lookup
+// copies no VMA.
+func (m *Memory) vmaIndex(addr uint64) int {
+	lo, hi := 0, len(m.vmas)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if m.vmas[mid].End > addr {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo < len(m.vmas) && m.vmas[lo].Start <= addr {
+		return lo
+	}
+	return -1
 }
 
 func pageAligned(v uint64) bool { return v%PageSize == 0 }
@@ -329,7 +357,7 @@ func min64(a, b uint64) uint64 {
 // did not exist at the previous checkpoint, so an incremental dump
 // must include them.
 func (m *Memory) page(addr uint64) ([]byte, bool) {
-	if _, ok := m.VMAAt(addr); !ok {
+	if m.vmaIndex(addr) < 0 {
 		return nil, false
 	}
 	pn := addr / PageSize
@@ -387,10 +415,11 @@ func (m *Memory) Write(addr uint64, b []byte) error {
 func (m *Memory) checkPerm(addr uint64, n int, want delf.Perm) error {
 	end := addr + uint64(n)
 	for a := addr; a < end; {
-		v, ok := m.VMAAt(a)
-		if !ok {
+		i := m.vmaIndex(a)
+		if i < 0 {
 			return fmt.Errorf("%w: %#x", ErrUnmapped, a)
 		}
+		v := &m.vmas[i]
 		if v.Perm&want != want {
 			return fmt.Errorf("%w: %v access at %#x (%s)", ErrPerm, want, a, v)
 		}
@@ -399,12 +428,35 @@ func (m *Memory) checkPerm(addr uint64, n int, want delf.Perm) error {
 	return nil
 }
 
-// ReadGuest is a permission-checked read as performed by guest code.
-func (m *Memory) ReadGuest(addr uint64, n int) ([]byte, error) {
-	if err := m.checkPerm(addr, n, delf.PermR); err != nil {
-		return nil, err
+// The reference path of guest memory access — readGuestRef,
+// WriteGuest and fetchRef: a VMA search and a permission check over
+// the whole range, then a page-map lookup per page touched, populating
+// mapped pages on first touch. The fast path (ReadU64, WriteU64,
+// readU8, writeU8, fetch; tlb.go) falls back to it for every access
+// the TLB cannot serve, and FuzzGuestMemoryTLB holds the two equal.
+
+// readGuestRef is a permission-checked read as performed by guest
+// code, into a caller buffer.
+func (m *Memory) readGuestRef(addr uint64, out []byte) error {
+	if err := m.checkPerm(addr, len(out), delf.PermR); err != nil {
+		return err
 	}
-	return m.Read(addr, n)
+	return m.read(addr, out)
+}
+
+// appendGuest appends the n guest-readable bytes at addr to dst: the
+// write syscall's guest read, staged straight into the destination
+// buffer. On error dst is returned unchanged.
+func (m *Memory) appendGuest(dst []byte, addr uint64, n int) ([]byte, error) {
+	if err := m.checkPerm(addr, n, delf.PermR); err != nil {
+		return dst, err
+	}
+	l := len(dst)
+	dst = slices.Grow(dst, n)[:l+n]
+	if err := m.read(addr, dst[l:]); err != nil {
+		return dst[:l], err
+	}
+	return dst, nil
 }
 
 // WriteGuest is a permission-checked write as performed by guest code.
@@ -415,44 +467,75 @@ func (m *Memory) WriteGuest(addr uint64, b []byte) error {
 	return m.Write(addr, b)
 }
 
-// FetchGuest reads up to n instruction bytes at addr, requiring
-// execute permission on the first byte (like a CPU fetch). Fewer
-// bytes may be returned at a mapping boundary.
-func (m *Memory) FetchGuest(addr uint64, n int) ([]byte, error) {
+// fetchRef reads up to len(out) instruction bytes at addr, requiring
+// execute permission on the first byte (like a CPU fetch), and returns
+// the count. Fewer bytes are read at a mapping boundary.
+func (m *Memory) fetchRef(addr uint64, out []byte) (int, error) {
 	if err := m.checkPerm(addr, 1, delf.PermX); err != nil {
-		return nil, err
+		return 0, err
 	}
-	out := make([]byte, 0, n)
-	for i := 0; i < n; i++ {
+	for i := range out {
 		pg, ok := m.page(addr + uint64(i))
 		if !ok {
-			break
+			return i, nil
 		}
-		out = append(out, pg[(addr+uint64(i))%PageSize])
+		out[i] = pg[(addr+uint64(i))%PageSize]
 	}
-	return out, nil
+	return len(out), nil
 }
 
 // ReadU64 reads a little-endian 64-bit word (guest semantics).
 func (m *Memory) ReadU64(addr uint64) (uint64, error) {
-	b, err := m.ReadGuest(addr, 8)
-	if err != nil {
+	if pg := m.tlbPage(addr, 8, delf.PermR); pg != nil {
+		return binary.LittleEndian.Uint64(pg[addr%PageSize:]), nil
+	}
+	var b [8]byte
+	if err := m.readGuestRef(addr, b[:]); err != nil {
 		return 0, err
 	}
-	var v uint64
-	for i := 0; i < 8; i++ {
-		v |= uint64(b[i]) << (8 * i)
-	}
-	return v, nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 writes a little-endian 64-bit word (guest semantics).
 func (m *Memory) WriteU64(addr uint64, v uint64) error {
-	b := make([]byte, 8)
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+	if pg := m.tlbPage(addr, 8, delf.PermW); pg != nil {
+		m.noteFastWrite(addr / PageSize)
+		binary.LittleEndian.PutUint64(pg[addr%PageSize:], v)
+		return nil
 	}
-	return m.WriteGuest(addr, b)
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], v)
+	return m.WriteGuest(addr, b[:])
+}
+
+// readU8 reads one byte (guest semantics: the LOADB instruction).
+func (m *Memory) readU8(addr uint64) (byte, error) {
+	if pg := m.tlbPage(addr, 1, delf.PermR); pg != nil {
+		return pg[addr%PageSize], nil
+	}
+	var b [1]byte
+	err := m.readGuestRef(addr, b[:])
+	return b[0], err
+}
+
+// writeU8 writes one byte (guest semantics: the STOREB instruction).
+func (m *Memory) writeU8(addr uint64, v byte) error {
+	if pg := m.tlbPage(addr, 1, delf.PermW); pg != nil {
+		m.noteFastWrite(addr / PageSize)
+		pg[addr%PageSize] = v
+		return nil
+	}
+	b := [1]byte{v}
+	return m.WriteGuest(addr, b[:])
+}
+
+// fetch is the instruction fetch of the execution engines: fetchRef
+// into the caller's buffer, maxInstLen bytes wide.
+func (m *Memory) fetch(addr uint64, buf *[maxInstLen]byte) (int, error) {
+	if pg := m.tlbPage(addr, maxInstLen, delf.PermX); pg != nil {
+		return copy(buf[:], pg[addr%PageSize:]), nil
+	}
+	return m.fetchRef(addr, buf[:])
 }
 
 // PopulatedPages returns the sorted page numbers that have backing
@@ -495,6 +578,7 @@ func (m *Memory) SetPage(pn uint64, data []byte) error {
 	m.pages[pn] = append([]byte(nil), data...)
 	m.dirty[pn] = struct{}{}
 	delete(m.cow, pn)
+	m.tlbDrop(pn)
 	m.noteWrite(pn)
 	return nil
 }

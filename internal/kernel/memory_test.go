@@ -98,10 +98,11 @@ func TestProtect(t *testing.T) {
 	if vmas[1].Perm != delf.PermR {
 		t.Errorf("middle perm = %v", vmas[1].Perm)
 	}
-	if _, err := m.FetchGuest(0x2000, 1); !errors.Is(err, ErrPerm) {
+	var buf [maxInstLen]byte
+	if _, err := m.fetch(0x2000, &buf); !errors.Is(err, ErrPerm) {
 		t.Errorf("fetch from NX err = %v", err)
 	}
-	if _, err := m.FetchGuest(0x1000, 1); err != nil {
+	if _, err := m.fetch(0x1000, &buf); err != nil {
 		t.Errorf("fetch from X err = %v", err)
 	}
 	if err := m.Protect(0x3000, 0x6000, delf.PermR); !errors.Is(err, ErrNoVMA) {
@@ -117,7 +118,7 @@ func TestGuestPermChecks(t *testing.T) {
 	if err := m.WriteGuest(0x1000, []byte{1}); !errors.Is(err, ErrPerm) {
 		t.Errorf("guest write to RO err = %v", err)
 	}
-	if _, err := m.ReadGuest(0x1000, 8); err != nil {
+	if _, err := m.ReadU64(0x1000); err != nil {
 		t.Errorf("guest read err = %v", err)
 	}
 	// Kernel view bypasses permissions.

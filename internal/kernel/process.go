@@ -87,6 +87,10 @@ type Process struct {
 	insts      uint64 // retired instructions
 	blockStart uint64 // current basic-block head (tracing)
 
+	// fetchBuf receives each instruction fetch, so decoding needs no
+	// allocation and no slice of live guest memory.
+	fetchBuf [maxInstLen]byte
+
 	modules []Module // mapped binaries, in load order
 
 	// sysFilter, when non-nil, is the seccomp-style allow list: a

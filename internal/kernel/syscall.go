@@ -109,34 +109,32 @@ func (m *Machine) sysWrite(p *Process) uint64 {
 	if !ok || n < 0 {
 		return errRet
 	}
-	data, err := p.mem.ReadGuest(buf, n)
-	if err != nil {
-		return errRet
-	}
+	// The guest bytes are staged straight into the destination buffer.
+	// A descriptor that cannot take them still has its source read (the
+	// read may fault pages in) into discard, then fails.
+	var discard []byte
+	dst := &discard
 	switch d.kind {
 	case FDStdio:
 		if d.stdNo == 2 {
-			p.stderr = append(p.stderr, data...)
+			dst = &p.stderr
 		} else {
-			p.stdout = append(p.stdout, data...)
+			dst = &p.stdout
 		}
-		return uint64(n)
 	case FDConn:
 		if d.sideA {
-			if d.cn.bClosed {
-				return errRet
+			if !d.cn.bClosed {
+				dst = &d.cn.a2b
 			}
-			d.cn.a2b = append(d.cn.a2b, data...)
-		} else {
-			if d.cn.aClosed && len(d.cn.b2a) == 0 && d.cn.bClosed {
-				return errRet
-			}
-			d.cn.b2a = append(d.cn.b2a, data...)
+		} else if !(d.cn.aClosed && len(d.cn.b2a) == 0 && d.cn.bClosed) {
+			dst = &d.cn.b2a
 		}
-		return uint64(n)
-	default:
+	}
+	var err error
+	if *dst, err = p.mem.appendGuest(*dst, buf, n); err != nil || dst == &discard {
 		return errRet
 	}
+	return uint64(n)
 }
 
 // sysRead returns (result, wouldBlock).
