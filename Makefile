@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test vet race chaos fuzz check bench cover supervise-demo fleet-demo load-demo
+.PHONY: all build test vet race chaos fuzz check bench cover examples supervise-demo fleet-demo load-demo
 
 all: check
 
@@ -49,6 +49,17 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeJournal -fuzztime 10s ./internal/fleet/
 	$(GO) test -run '^$$' -fuzz FuzzBlockCacheDecode -fuzztime 10s ./internal/kernel/
 	$(GO) test -run '^$$' -fuzz FuzzGuestMemoryTLB -fuzztime 10s ./internal/kernel/
+
+# Run every example program and the demo commands to exit 0: they are
+# the main callers of the public facade in dynacut.go. tracedemo writes
+# its trace into a temporary directory that is removed afterwards.
+examples:
+	@set -e; for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d; done
+	$(GO) run ./cmd/fleetdemo
+	$(GO) run ./cmd/fleetdemo -load
+	$(GO) run ./cmd/supervisedemo
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+		$(GO) run ./cmd/tracedemo -o "$$tmp/trace.jsonl"
 
 # The tier-1 gate: everything that must pass before a commit.
 check: build vet test race

@@ -92,22 +92,12 @@ type Options struct {
 	// canary request through this so server flows verify end-to-end
 	// service.
 	HealthCheck func(m *kernel.Machine, pid int) error
-	// HealthBudget is the instruction budget of the built-in liveness
-	// probe run after each restore (0 = a small default). The probe
-	// fails if the restored root exits or dies on a signal within the
-	// budget.
-	HealthBudget uint64
 	// BeforeCommit, when non-nil, runs immediately before the commit
 	// point of every attempt (killing the originals). A non-nil error
 	// aborts the transaction with ErrAborted and the guest untouched —
 	// the last moment an external controller (a halted fleet rollout)
 	// can stop an in-flight rewrite without paying a rollback.
 	BeforeCommit func(attempt int) error
-	// OnOutcome, when non-nil, is called after every Rewrite with its
-	// final stats and error (nil on commit). Fleet supervisors use it
-	// to aggregate per-replica outcomes without wrapping every call
-	// site.
-	OnOutcome func(Stats, error)
 	// LiveQuiesceRounds bounds how many scheduler rounds
 	// DisableBlocksLive runs waiting for quiescence before falling
 	// back to the checkpoint transaction (0 = DefaultQuiesceRounds).
@@ -215,9 +205,10 @@ var (
 	ErrAborted = errors.New("core: rewrite aborted before commit")
 )
 
-// defaultHealthBudget is the instruction budget of the built-in
-// post-restore liveness probe when Options.HealthBudget is zero.
-const defaultHealthBudget = 20000
+// healthBudget is the instruction budget of the built-in post-restore
+// liveness probe: it fails if a restored process exits or dies on a
+// signal within the budget.
+const healthBudget = 20000
 
 // Customizer dynamically customizes one guest program.
 type Customizer struct {
@@ -327,14 +318,6 @@ func (c *Customizer) Handler() *Handler { return c.handler }
 // live connections intact. Options.MaxAttempts > 1 retries the whole
 // cycle after any rolled-back (or pre-commit) failure.
 func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stats, error) {
-	stats, err := c.rewrite(edit)
-	if c.opts.OnOutcome != nil {
-		c.opts.OnOutcome(stats, err)
-	}
-	return stats, err
-}
-
-func (c *Customizer) rewrite(edit func(ed *crit.Editor, pids []int) error) (Stats, error) {
 	var stats Stats
 	p, err := c.machine.Process(c.pid)
 	if err != nil || p.Exited() {
@@ -632,14 +615,10 @@ func (c *Customizer) healthCheck(root int, procs []*kernel.Process) error {
 	if err := c.machine.Fault(faultinject.SiteHealth, root); err != nil {
 		return err
 	}
-	budget := c.opts.HealthBudget
-	if budget == 0 {
-		budget = defaultHealthBudget
-	}
-	c.machine.Run(budget)
+	c.machine.Run(healthBudget)
 	for _, p := range procs {
 		if p.Exited() {
-			return fmt.Errorf("core: restored pid %d died within %d ticks of restore", p.PID(), budget)
+			return fmt.Errorf("core: restored pid %d died within %d ticks of restore", p.PID(), healthBudget)
 		}
 	}
 	if c.opts.HealthCheck != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/kernel"
@@ -26,34 +25,17 @@ var ErrStoreCorrupt = errors.New("criu: page store blob corrupt")
 // metadata, and any deposited set (delta chains included) can be
 // re-materialized for restore.
 //
-// All methods are safe for concurrent use. The page map is sharded by
-// hash prefix (the first key byte picks the bucket), so a rollout
-// controller's worker pool — hundreds of concurrent Deposit and
-// Materialize calls at fleet scale — contends on independent bucket
-// locks instead of serializing on one map.
+// All methods are safe for concurrent use. One mutex guards the whole
+// store; page hashing, the costly part of a deposit or a read, runs
+// outside it.
 type PageStore struct {
-	shards []pageShard
-
-	setMu sync.RWMutex
-	sets  map[uint32]*storedSet
-
-	hookMu sync.Mutex
-	hook   kernel.FaultHook // consulted at SiteStoreRot on blob reads
-
-	interned atomic.Uint64 // pages presented to the store
-	hits     atomic.Uint64 // pages already present (dedup wins)
+	mu       sync.Mutex
+	pages    map[[sha256.Size]byte][]byte
+	sets     map[uint32]*storedSet
+	hook     kernel.FaultHook // consulted at SiteStoreRot on blob reads
+	interned uint64           // pages presented to the store
+	hits     uint64           // pages already present (dedup wins)
 }
-
-// pageShard is one hash-prefix bucket of the page map.
-type pageShard struct {
-	mu    sync.Mutex
-	pages map[[sha256.Size]byte][]byte
-}
-
-// defaultPageShards is the bucket count — a power of two so the
-// prefix mask is a single AND. 64 buckets keep 1000+ workers' expected
-// lock collisions low while costing ~nothing for small stores.
-const defaultPageShards = 64
 
 // storedSet is one deposited image set: per-proc metadata with the
 // page payload replaced by content keys, plus the parent identity for
@@ -80,29 +62,11 @@ type StoreStats struct {
 }
 
 // NewPageStore creates an empty content-addressed page store.
-func NewPageStore() *PageStore { return newPageStoreShards(defaultPageShards) }
-
-// newPageStoreShards sizes the hash-prefix bucket count explicitly —
-// the sharding benchmark's before/after lever. n is rounded down to a
-// power of two, minimum 1 (the pre-sharding single-lock behavior).
-func newPageStoreShards(n int) *PageStore {
-	shards := 1
-	for shards*2 <= n {
-		shards *= 2
+func NewPageStore() *PageStore {
+	return &PageStore{
+		pages: map[[sha256.Size]byte][]byte{},
+		sets:  map[uint32]*storedSet{},
 	}
-	s := &PageStore{
-		shards: make([]pageShard, shards),
-		sets:   map[uint32]*storedSet{},
-	}
-	for i := range s.shards {
-		s.shards[i].pages = map[[sha256.Size]byte][]byte{}
-	}
-	return s
-}
-
-// shard picks the bucket owning a content key by hash prefix.
-func (s *PageStore) shard(key [sha256.Size]byte) *pageShard {
-	return &s.shards[int(key[0])&(len(s.shards)-1)]
 }
 
 // SetFaultHook installs a fault hook consulted on every blob read
@@ -111,29 +75,25 @@ func (s *PageStore) shard(key [sha256.Size]byte) *pageShard {
 // and the read continues as if nothing happened; the re-hash check is
 // what turns it into a loud ErrStoreCorrupt.
 func (s *PageStore) SetFaultHook(h kernel.FaultHook) {
-	s.hookMu.Lock()
+	s.mu.Lock()
 	s.hook = h
-	s.hookMu.Unlock()
+	s.mu.Unlock()
 }
 
 // readBlob fetches one page blob, applies any armed silent-rot fault,
 // and re-hashes the bytes against the content key. The key is the
 // checksum: any divergence is corruption by definition.
 func (s *PageStore) readBlob(key [sha256.Size]byte) ([]byte, error) {
-	s.hookMu.Lock()
-	hook := s.hook
-	s.hookMu.Unlock()
-	sh := s.shard(key)
-	sh.mu.Lock()
-	pg, ok := sh.pages[key]
-	if ok && hook != nil {
-		if ferr := hook.Fault(faultinject.SiteStoreRot, int(key[0])); ferr != nil {
+	s.mu.Lock()
+	pg, ok := s.pages[key]
+	if ok && s.hook != nil {
+		if ferr := s.hook.Fault(faultinject.SiteStoreRot, int(key[0])); ferr != nil {
 			// Silent rot: flip one bit of the *stored* slice. Future
 			// reads of this blob see the same rotten bytes.
 			pg[len(pg)/2] ^= 0x40
 		}
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: no blob for key %x", ErrNoImage, key[:8])
 	}
@@ -171,15 +131,14 @@ func (s *PageStore) DepositPage(pg []byte) ([sha256.Size]byte, error) {
 // already present) and returns the key.
 func (s *PageStore) internPage(pg []byte) [sha256.Size]byte {
 	key := sha256.Sum256(pg)
-	s.interned.Add(1)
-	sh := s.shard(key)
-	sh.mu.Lock()
-	if _, ok := sh.pages[key]; ok {
-		s.hits.Add(1)
+	s.mu.Lock()
+	s.interned++
+	if _, ok := s.pages[key]; ok {
+		s.hits++
 	} else {
-		sh.pages[key] = append([]byte(nil), pg...)
+		s.pages[key] = append([]byte(nil), pg...)
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	return key
 }
 
@@ -217,10 +176,7 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 	}
 	ident := set.Ident()
 
-	s.setMu.RLock()
-	_, ok := s.sets[ident]
-	s.setMu.RUnlock()
-	if ok {
+	if s.Contains(ident) {
 		return ident, nil
 	}
 
@@ -254,18 +210,18 @@ func (s *PageStore) Deposit(set *ImageSet) (uint32, error) {
 		st.keys[pid] = keys
 	}
 
-	s.setMu.Lock()
+	s.mu.Lock()
 	if _, ok := s.sets[ident]; !ok {
 		s.sets[ident] = st
 	}
-	s.setMu.Unlock()
+	s.mu.Unlock()
 	return ident, nil
 }
 
 // Contains reports whether the store holds a set with this identity.
 func (s *PageStore) Contains(ident uint32) bool {
-	s.setMu.RLock()
-	defer s.setMu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	_, ok := s.sets[ident]
 	return ok
 }
@@ -275,9 +231,9 @@ func (s *PageStore) Contains(ident uint32) bool {
 // their deposited ancestors. The returned set is private to the
 // caller: mutating it (crit edits) does not touch the store.
 func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
-	s.setMu.RLock()
+	s.mu.Lock()
 	st, ok := s.sets[ident]
-	s.setMu.RUnlock()
+	s.mu.Unlock()
 	if !ok {
 		return nil, fmt.Errorf("%w: set %#x not in page store", ErrNoImage, ident)
 	}
@@ -317,22 +273,17 @@ func (s *PageStore) Materialize(ident uint32) (*ImageSet, error) {
 
 // Stats returns a snapshot of the store's dedup accounting.
 func (s *PageStore) Stats() StoreStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	stats := StoreStats{
-		PagesInterned: s.interned.Load(),
-		DedupHits:     s.hits.Load(),
+		Sets:          len(s.sets),
+		UniquePages:   len(s.pages),
+		PagesInterned: s.interned,
+		DedupHits:     s.hits,
 	}
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		stats.UniquePages += len(sh.pages)
-		for _, pg := range sh.pages {
-			stats.StoredBytes += len(pg)
-		}
-		sh.mu.Unlock()
+	for _, pg := range s.pages {
+		stats.StoredBytes += len(pg)
 	}
-	s.setMu.RLock()
-	stats.Sets = len(s.sets)
-	s.setMu.RUnlock()
 	return stats
 }
 

@@ -1,8 +1,6 @@
 package criu
 
 import (
-	"crypto/sha256"
-	"fmt"
 	"sync"
 	"testing"
 
@@ -12,8 +10,8 @@ import (
 
 // benchCloneSets builds n divergent clone checkpoints of the counter
 // guest, ballasted with extra distinct pages so each deposit interns a
-// realistic page count. The sets share most content — the fleet
-// deposit workload the sharded page map exists for.
+// realistic page count. The sets share most content, like a fleet's
+// pristine checkpoints.
 func benchCloneSets(b *testing.B, n int) []*ImageSet {
 	b.Helper()
 	m, p := loadCounter(b)
@@ -54,70 +52,25 @@ func benchCloneSets(b *testing.B, n int) []*ImageSet {
 	return sets
 }
 
-// hotShardFrac computes the contention proxy the sharding exists to
-// shrink: the fraction of page interns that land on the single
-// busiest bucket lock. 1.0 means every intern fights over one mutex
-// (the pre-sharding layout); ~1/shards means an even spread. Unlike
-// ns/op this is deterministic and machine-independent — on a
-// single-CPU runner the wall-clock columns collapse to parity because
-// goroutines never truly contend, but the spread still tells the
-// story.
-func hotShardFrac(sets []*ImageSet, shards int) float64 {
-	counts := make([]int, shards)
-	total := 0
-	for _, s := range sets {
-		for _, pi := range s.Procs {
-			for i := range pi.PageMap.PageNumbers {
-				key := sha256.Sum256(pi.Pages[i*kernel.PageSize : (i+1)*kernel.PageSize])
-				counts[int(key[0])&(shards-1)]++
-				total++
-			}
-		}
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	return float64(max) / float64(total)
-}
-
 // BenchmarkPageStoreParallelDeposit measures one fleet checkpoint
-// deposit — every replica's set deposited concurrently into a fresh
-// store — in three lock regimes: "coarse" emulates the pre-sharding
-// store, whose single mutex was held across the whole deposit (every
-// page hash included), fully serializing depositors; "shards=1" is
-// the refactored store collapsed to one page-map bucket (hashing
-// already outside the lock); "shards=64" is the shipped layout. Same
-// work in each, different contention.
+// deposit: every replica's set deposited concurrently into a fresh
+// store.
 func BenchmarkPageStoreParallelDeposit(b *testing.B) {
 	sets := benchCloneSets(b, 32)
-	run := func(b *testing.B, shards int, coarse *sync.Mutex) {
-		b.ReportMetric(hotShardFrac(sets, shards), "hot-shard-frac")
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			store := newPageStoreShards(shards)
-			var wg sync.WaitGroup
-			for _, set := range sets {
-				wg.Add(1)
-				go func(s *ImageSet) {
-					defer wg.Done()
-					if coarse != nil {
-						coarse.Lock()
-						defer coarse.Unlock()
-					}
-					if _, err := store.Deposit(s); err != nil {
-						b.Error(err)
-					}
-				}(set)
-			}
-			wg.Wait()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		store := NewPageStore()
+		var wg sync.WaitGroup
+		for _, set := range sets {
+			wg.Add(1)
+			go func(s *ImageSet) {
+				defer wg.Done()
+				if _, err := store.Deposit(s); err != nil {
+					b.Error(err)
+				}
+			}(set)
 		}
-	}
-	b.Run("coarse", func(b *testing.B) { run(b, 1, new(sync.Mutex)) })
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) { run(b, shards, nil) })
+		wg.Wait()
 	}
 }
 
@@ -126,27 +79,23 @@ func BenchmarkPageStoreParallelDeposit(b *testing.B) {
 // rollback path when a halted wave restores replicas in parallel.
 func BenchmarkPageStoreParallelMaterialize(b *testing.B) {
 	sets := benchCloneSets(b, 32)
-	for _, shards := range []int{1, 64} {
-		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
-			store := newPageStoreShards(shards)
-			idents := make([]uint32, len(sets))
-			for i, set := range sets {
-				id, err := store.Deposit(set)
-				if err != nil {
-					b.Fatal(err)
-				}
-				idents[i] = id
-			}
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				i := 0
-				for pb.Next() {
-					if _, err := store.Materialize(idents[i%len(idents)]); err != nil {
-						b.Error(err)
-					}
-					i++
-				}
-			})
-		})
+	store := NewPageStore()
+	idents := make([]uint32, len(sets))
+	for i, set := range sets {
+		id, err := store.Deposit(set)
+		if err != nil {
+			b.Fatal(err)
+		}
+		idents[i] = id
 	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, err := store.Materialize(idents[i%len(idents)]); err != nil {
+				b.Error(err)
+			}
+			i++
+		}
+	})
 }

@@ -30,22 +30,15 @@ func TestPageStoreCorruptMutatedShard(t *testing.T) {
 	}
 	ident := set.Ident()
 
-	// Rot one blob directly in the shard map.
+	// Rot one blob directly in the page map.
 	var rotted bool
-	for i := range store.shards {
-		sh := &store.shards[i]
-		sh.mu.Lock()
-		for key, pg := range sh.pages {
-			pg[17] ^= 0x01
-			_ = key
-			rotted = true
-			break
-		}
-		sh.mu.Unlock()
-		if rotted {
-			break
-		}
+	store.mu.Lock()
+	for _, pg := range store.pages {
+		pg[17] ^= 0x01
+		rotted = true
+		break
 	}
+	store.mu.Unlock()
 	if !rotted {
 		t.Fatal("store held no blobs to rot")
 	}
@@ -151,10 +144,9 @@ func TestPageStoreCorruptPageBlobVerified(t *testing.T) {
 	}
 
 	// Rot the interned blob in place: PageBlob's re-hash catches it.
-	sh := store.shard(key)
-	sh.mu.Lock()
-	sh.pages[key][100] ^= 0x08
-	sh.mu.Unlock()
+	store.mu.Lock()
+	store.pages[key][100] ^= 0x08
+	store.mu.Unlock()
 	if _, err := store.PageBlob(key); !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("PageBlob over rotted blob: %v, want ErrStoreCorrupt", err)
 	}

@@ -175,11 +175,11 @@ func TestPageStoreDedupSubLinearGrowth(t *testing.T) {
 		oneGuest, st.StoredBytes, st.PagesInterned, st.DedupHits)
 }
 
-// TestPageStoreConcurrentDepositMaterialize is the sharding race test:
+// TestPageStoreConcurrentDepositMaterialize is the store's race test:
 // depositors racing each other (including on the *same* set, so the
 // dedup fast path and the double-checked set insert both fire) while
 // readers Materialize, Contains and Stats concurrently. Run under
-// -race this pins down the shard-lock discipline; the final checks pin
+// -race this pins down the lock discipline; the final checks pin
 // down that no deposit was lost or mangled by the races.
 func TestPageStoreConcurrentDepositMaterialize(t *testing.T) {
 	m, p := loadCounter(t)

@@ -7,6 +7,7 @@ import (
 	"github.com/dynacut/dynacut"
 	"github.com/dynacut/dynacut/internal/apps/kvstore"
 	"github.com/dynacut/dynacut/internal/delf/link"
+	"github.com/dynacut/dynacut/internal/kernel"
 )
 
 // ---------------------------------------------------------------------------
@@ -299,7 +300,7 @@ _start:
 	}
 	p2.SetSyscallFilter(allowed)
 	m2.Run(1000)
-	res.DeniedCallFatal = p2.KilledBy() == dynacut.SIGSYS
+	res.DeniedCallFatal = p2.KilledBy() == kernel.SIGSYS
 	return res, nil
 }
 

@@ -62,7 +62,7 @@ func TestFleetChaosWaveFaults(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !res.Halted {
-				t.Fatalf("an aborted replica must halt a zero-threshold rollout: %+v", res.Outcomes)
+				t.Fatalf("an aborted replica must halt the rollout: %+v", res.Outcomes)
 			}
 			if inj.Injected() == 0 {
 				t.Fatal("armed wave fault never fired")

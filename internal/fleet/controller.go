@@ -47,18 +47,18 @@ const (
 	crashAfterRecord
 )
 
-// Controller scheduling defaults.
+// Controller scheduling constants.
 const (
-	// defaultLeaseTicks is the lease duration on the controller's
-	// virtual clock — comfortably above a typical rewrite cost (~65
-	// vticks on the webserv guest), so healthy workers never expire.
-	defaultLeaseTicks = 1024
-	// defaultRetryBudget bounds lease attempts per step.
-	defaultRetryBudget = 3
-	// defaultBackoffBase / defaultBackoffCap shape the capped
-	// exponential requeue backoff after a lease expires.
-	defaultBackoffBase = 64
-	defaultBackoffCap  = 1024
+	// leaseTicks is the lease duration on the controller's virtual
+	// clock — comfortably above a typical rewrite cost (~65 vticks on
+	// the webserv guest), so healthy workers never expire.
+	leaseTicks = 1024
+	// retryBudget bounds lease attempts per step.
+	retryBudget = 3
+	// backoffBase / backoffCap shape the capped exponential requeue
+	// backoff after a lease expires.
+	backoffBase = 64
+	backoffCap  = 1024
 )
 
 // StepEvent is one increment of rollout progress, streamed to
@@ -374,16 +374,12 @@ func (c *Controller) replay(res *RolloutResult) (states []priorState, waveFails 
 // verifyCommitted classifies a torn-window replica: the journal shows
 // a leased intent but no outcome, so the predecessor died between the
 // lease and the outcome record — the rewrite may or may not have
-// committed. Config.Verify decides from the live replica. Without it,
-// a live-patch rollout (Config.LivePatch) is verified byte-wise
+// committed. A live-patch rollout (Config.LivePatch) is verified byte-wise
 // against the replica's text — the customizer's in-memory bookkeeping
 // does not survive a controller crash, and a crash can land mid-patch,
 // so only the bytes themselves are trustworthy; any other rollout
 // falls back to asking the customizer whether blocks are disabled.
 func (c *Controller) verifyCommitted(r *Replica) (bool, error) {
-	if v := c.f.cfg.Verify; v != nil {
-		return v(r)
-	}
 	if lp := c.f.cfg.LivePatch; lp != nil {
 		return verifyLiveBlocks(r, lp)
 	}
@@ -559,12 +555,7 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 		}
 		wr := WaveResult{Index: wi, Canary: wi == 0, Replicas: append([]int(nil), wave...), Failures: fails}
 		res.Waves = append(res.Waves, wr)
-		failRate := float64(fails) / float64(len(wave))
-		threshold := f.cfg.FailureThreshold
-		if wi == 0 {
-			threshold = 0 // any canary failure halts
-		}
-		halt := fails > 0 && failRate > threshold
+		halt := fails > 0
 
 		// Second-chance recovery: a replica whose own rollback failed
 		// is dead, but its pristine checkpoint survives in the store.
@@ -584,8 +575,8 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 				f.obs.PhaseEnd("fleet.wave", wi, ErrControllerCrashed)
 				break
 			}
-			// Un-commit the failed wave: a wave that crossed the
-			// threshold does not stay half-deployed.
+			// Un-commit the failed wave: a wave with a failure does
+			// not stay half-deployed.
 			c.completeHalt(res, wave, wi)
 			f.obs.PhaseEnd("fleet.wave", wi, fmt.Errorf("wave %d: %d/%d failed, rollout halted", wi, fails, len(wave)))
 			break
@@ -615,22 +606,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 // runWave drains one wave's step queue through the worker lanes.
 func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(r *Replica) (core.Stats, error)) {
 	f := c.f
-	leaseTicks := f.cfg.LeaseTicks
-	if leaseTicks == 0 {
-		leaseTicks = defaultLeaseTicks
-	}
-	budget := f.cfg.RetryBudget
-	if budget <= 0 {
-		budget = defaultRetryBudget
-	}
-	backoffBase := f.cfg.BackoffBase
-	if backoffBase == 0 {
-		backoffBase = defaultBackoffBase
-	}
-	backoffCap := f.cfg.BackoffCap
-	if backoffCap == 0 {
-		backoffCap = defaultBackoffCap
-	}
 
 	var pending []*step
 	for _, ri := range wave {
@@ -727,7 +702,7 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 				res.LeaseExpiries++
 				f.obs.Point("fleet.lease.expired", int64(ri))
 				c.emit(StepEvent{Kind: "expire", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.deadline})
-				if l.step.attempt >= budget {
+				if l.step.attempt >= retryBudget {
 					out := &res.Outcomes[ri]
 					out.Outcome = OutcomeFailed
 					out.Err = fmt.Errorf("fleet: replica %d lease expired %d times, retry budget exhausted", ri, l.step.attempt)
@@ -741,10 +716,7 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 					}
 					continue
 				}
-				backoff := backoffBase << (l.step.attempt - 1)
-				if backoff > backoffCap {
-					backoff = backoffCap
-				}
+				backoff := min(uint64(backoffBase)<<(l.step.attempt-1), backoffCap)
 				l.step.attempt++
 				l.step.notBefore = l.deadline + backoff
 				pending = append(pending, l.step)

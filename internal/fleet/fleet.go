@@ -4,7 +4,7 @@
 // content-addressed page store (so N replicas cost ~1 guest of blob
 // storage), and applies a rewrite across the fleet as a staged
 // rollout — canary shards first, then waves — halting and restoring
-// pristine state when a wave's failure rate crosses the threshold.
+// pristine state as soon as any replica of a wave fails.
 //
 // The invariant the rollout maintains is per-replica atomicity lifted
 // to the fleet: every replica ends a rollout either committed to the
@@ -53,11 +53,9 @@ type Config struct {
 	// Replicas). The canary wave must be fully healthy before the
 	// remaining waves run: any canary failure halts the rollout.
 	CanaryShards int
-	// WaveSize is the batch size of the post-canary waves (0 = 4).
+	// WaveSize is the batch size of the post-canary waves (0 = 4). Any
+	// failure in any wave halts the rollout.
 	WaveSize int
-	// FailureThreshold is the fraction of a post-canary wave that may
-	// fail without halting the rollout. 0 = any failure halts.
-	FailureThreshold float64
 	// Core is the per-replica customizer option template. Observer is
 	// replaced with a per-replica observer; BeforeCommit is chained
 	// after the fleet's halt check.
@@ -69,23 +67,6 @@ type Config struct {
 	// spans, halt/rollback points). nil allocates a private one.
 	Observer *obs.Observer
 
-	// Controller tuning (zero = defaults). LeaseTicks is the
-	// virtual-clock lease a worker holds on a step before the
-	// controller declares it dead and requeues; RetryBudget bounds
-	// lease attempts per step; BackoffBase/BackoffCap shape the capped
-	// exponential requeue backoff.
-	LeaseTicks  uint64
-	RetryBudget int
-	BackoffBase uint64
-	BackoffCap  uint64
-	// Verify classifies a replica whose journal entry is torn (a
-	// controller crash between lease and outcome): it must report
-	// whether the rollout's rewrite committed on this replica. nil
-	// asks the customizer whether any blocks are disabled — correct
-	// for DisableBlocks payloads (with LivePatch set, the byte-wise
-	// text check below is used instead); custom payloads should probe
-	// the guest directly.
-	Verify func(r *Replica) (bool, error)
 	// LivePatch declares the rollout's steps request the live-patch
 	// fast path for these blocks. Step intents are journaled with
 	// ModeLivePatch, outcomes with the mode that actually ran, and —
@@ -289,8 +270,7 @@ type WaveResult struct {
 type RolloutResult struct {
 	Waves    []WaveResult
 	Outcomes []ReplicaOutcome
-	// Halted reports that a wave crossed the failure threshold:
-	// its committed replicas were restored to pristine and all later
+	// Halted reports that a wave had a failed replica: its committed replicas were restored to pristine and all later
 	// waves were cancelled. HaltedWave is that wave's index.
 	Halted     bool
 	HaltedWave int
@@ -483,8 +463,7 @@ func (f *Fleet) waves() [][]int {
 // Rollout applies one rewrite across the fleet as a staged rollout:
 // the canary wave first, then the remaining replicas in waves, each
 // wave's steps leased to concurrent worker lanes by the rollout
-// controller. A wave whose failure rate crosses the threshold (any
-// failure, for the canary) halts the rollout: the failed wave's
+// controller. A wave with any failed replica halts the rollout: the failed wave's
 // committed replicas are restored to their pristine checkpoints from
 // the shared store, in-flight rewrites abort at the pre-commit gate,
 // and later waves never start. Replicas whose own rollback failed are

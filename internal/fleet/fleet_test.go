@@ -246,7 +246,7 @@ func TestFleetCanaryFailureHaltsRollout(t *testing.T) {
 func TestFleetWaveFailureRestoresCommitted(t *testing.T) {
 	tpl := bootTemplate(t)
 	// Canary (replica 0) passes; in the next wave replica 2's rewrite
-	// fails pre-commit, so the wave crosses the zero threshold and its
+	// fails pre-commit: one failed replica halts a post-canary wave, and its
 	// committed sibling must be restored to pristine.
 	f, err := New(tpl.m, tpl.pid, Config{
 		Replicas: 3, Workers: 1, CanaryShards: 1, WaveSize: 2,

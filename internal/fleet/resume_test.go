@@ -244,9 +244,9 @@ func TestFleetChaosLeaseExpiry(t *testing.T) {
 }
 
 // TestFleetLeaseBudgetExhausted: every lease on one step dies; after
-// RetryBudget expiries the controller fails the step for good instead
-// of spinning, and the zero-threshold wave halts the rollout with the
-// replica untouched on the old version.
+// three expiries (the retry budget) the controller fails the step for
+// good instead of spinning, and the failed step halts its wave with
+// the replica untouched on the old version.
 func TestFleetLeaseBudgetExhausted(t *testing.T) {
 	tpl := bootTemplate(t)
 	inj := faultinject.New(9)
@@ -276,7 +276,7 @@ func TestFleetLeaseBudgetExhausted(t *testing.T) {
 		t.Fatal("payload ran on a replica whose every lease died")
 	}
 	if !res.Halted || res.HaltedWave != 1 {
-		t.Fatalf("exhausted step did not halt its zero-threshold wave: %+v", res)
+		t.Fatalf("exhausted step did not halt its wave: %+v", res)
 	}
 	if res.Outcomes[0].Outcome != OutcomeCommitted {
 		t.Fatalf("canary = %v, want committed (its wave was healthy)", res.Outcomes[0].Outcome)

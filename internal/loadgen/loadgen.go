@@ -198,11 +198,6 @@ type Driver struct {
 	// would burn before timing out — so bucket windows stay aligned no
 	// matter how cheaply a request fails.
 	RequestBudget uint64
-	// DrainTicks is the quiet window: once a response has bytes, the
-	// driver keeps granting DrainTicks-sized windows as long as new
-	// bytes keep arriving, and declares the response complete after a
-	// full window with none (0 = 50_000, matching Session's drain).
-	DrainTicks uint64
 	// Observer, when non-nil, receives per-request trace points
 	// (loadgen.request / loadgen.error) and the loadgen.latency
 	// histogram, so a run lands on the same mergeable timeline as the
@@ -221,8 +216,11 @@ var (
 	ErrTruncated = errors.New("loadgen: response truncated by request budget")
 )
 
-// defaultDrainTicks matches Session.requestOnce's drain window.
-const defaultDrainTicks = 50_000
+// drainTicks is the quiet window, matching Session.requestOnce's drain:
+// once a response has bytes, a driver keeps waiting in windows of this
+// size as long as new bytes keep arriving, and declares the response
+// complete after a full window with none.
+const drainTicks = 50_000
 
 // Run drives the workload for the given number of buckets.
 func (d *Driver) Run(buckets int) (*Result, error) {
@@ -299,10 +297,6 @@ func (d *Driver) one() (uint64, error) {
 	if _, err := conn.Write([]byte(payload)); err != nil {
 		return 0, err
 	}
-	drain := d.DrainTicks
-	if drain == 0 {
-		drain = defaultDrainTicks
-	}
 	budgetLeft := func() uint64 {
 		used := d.Machine.Clock() - t0
 		if used >= d.RequestBudget {
@@ -335,10 +329,7 @@ func (d *Driver) one() (uint64, error) {
 		if left == 0 {
 			break
 		}
-		window := drain
-		if window > left {
-			window = left
-		}
+		window := min(drainTicks, left)
 		before := d.Machine.Clock()
 		d.Machine.RunUntil(func() bool {
 			return len(conn.ReadAllPeek()) > 0 || conn.Closed()
@@ -351,7 +342,7 @@ func (d *Driver) one() (uint64, error) {
 		// blocked guest holding our only connection can never produce
 		// another byte, so waiting longer — at any window size — is
 		// pointless and would spin the loop with the clock frozen.
-		if window == drain || d.Machine.Clock() == before {
+		if window == drainTicks || d.Machine.Clock() == before {
 			quiet = true
 			break
 		}

@@ -76,14 +76,10 @@ type Config struct {
 	// spot on the timeline (0 = Horizon/3 rounded down to the bucket
 	// grid).
 	HoldTicks uint64
-	// BucketTicks, RequestBudget, DrainTicks, MaxInFlight, PollTicks
-	// pass through to each replica's loadgen.OpenDriver (zeros =
-	// that driver's defaults).
-	BucketTicks   uint64
-	RequestBudget uint64
-	DrainTicks    uint64
-	MaxInFlight   int
-	PollTicks     uint64
+	// BucketTicks and PollTicks pass through to each replica's
+	// loadgen.OpenDriver (zeros = that driver's defaults).
+	BucketTicks uint64
+	PollTicks   uint64
 }
 
 // Harness errors.
@@ -272,15 +268,12 @@ func SteadyState(f *fleet.Fleet, cfg Config) (*Report, error) {
 	pool := &loadgen.OpenPool{}
 	for _, r := range f.Replicas() {
 		pool.Drivers = append(pool.Drivers, &loadgen.OpenDriver{
-			Machine:       r.Machine.Clone(),
-			Port:          cfg.Port,
-			Schedule:      cfg.Schedule,
-			Mix:           cloneMix(cfg.Mix),
-			BucketTicks:   cfg.BucketTicks,
-			RequestBudget: cfg.RequestBudget,
-			DrainTicks:    cfg.DrainTicks,
-			MaxInFlight:   cfg.MaxInFlight,
-			PollTicks:     cfg.PollTicks,
+			Machine:     r.Machine.Clone(),
+			Port:        cfg.Port,
+			Schedule:    cfg.Schedule,
+			Mix:         cloneMix(cfg.Mix),
+			BucketTicks: cfg.BucketTicks,
+			PollTicks:   cfg.PollTicks,
 		})
 	}
 	results, err := pool.Run(cfg.Horizon)
@@ -298,16 +291,13 @@ func SteadyState(f *fleet.Fleet, cfg Config) (*Report, error) {
 func (h *harness) driver(i int, r *fleet.Replica) *loadgen.OpenDriver {
 	held := false
 	return &loadgen.OpenDriver{
-		Machine:       r.Machine,
-		Port:          h.cfg.Port,
-		Schedule:      h.cfg.Schedule,
-		Mix:           cloneMix(h.cfg.Mix),
-		BucketTicks:   h.cfg.BucketTicks,
-		RequestBudget: h.cfg.RequestBudget,
-		DrainTicks:    h.cfg.DrainTicks,
-		MaxInFlight:   h.cfg.MaxInFlight,
-		PollTicks:     h.cfg.PollTicks,
-		Observer:      r.Obs,
+		Machine:     r.Machine,
+		Port:        h.cfg.Port,
+		Schedule:    h.cfg.Schedule,
+		Mix:         cloneMix(h.cfg.Mix),
+		BucketTicks: h.cfg.BucketTicks,
+		PollTicks:   h.cfg.PollTicks,
+		Observer:    r.Obs,
 		Hook: func(offset uint64) error {
 			if held || offset < h.holdAt() {
 				return nil
