@@ -26,9 +26,10 @@
 //
 // The facade names only what its callers (the commands, examples and
 // benchmarks) use, plus every type in the signature of an exported
-// function. Results reached through methods — a rollout's outcomes,
-// a supervisor's breaker ledger, an attestation report — are used
-// through their fields and methods without being named here.
+// function; TestFacadeNamesHaveCallers enforces the rule. Results
+// reached through methods — a rollout's outcomes, a supervisor's
+// breaker ledger, an attestation report — are used through their
+// fields and methods without being named here.
 package dynacut
 
 import (
@@ -65,9 +66,6 @@ type (
 	// interpreter, the basic-block translation cache, or the
 	// self-checking lockstep variant (Machine.SetExecMode).
 	ExecMode = kernel.ExecMode
-	// BlockCacheStats is the translation cache's counter set
-	// (Machine.BlockCacheStats).
-	BlockCacheStats = kernel.BlockCacheStats
 	// Lockstep runs the interpreter and the translating engine side
 	// by side on cloned machines, diffing full machine state after
 	// every scheduler round — the differential oracle that proves the

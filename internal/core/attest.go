@@ -3,6 +3,7 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -497,31 +498,14 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 
 	// Quiesce: no target may be executing (or returning into) a byte
 	// run about to change — the live-patch discipline.
-	maxRounds := c.opts.LiveQuiesceRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultQuiesceRounds
-	}
-	for {
-		conflict := liveConflict(targets, spans)
-		if conflict == "" {
-			break
+	targets, rounds, err := c.quiesce(spans)
+	rs.Rounds = rounds
+	if err != nil {
+		if !errors.Is(err, ErrDead) {
+			err = fmt.Errorf("core: repair: %w", err)
 		}
-		if rs.Rounds >= maxRounds {
-			err := fmt.Errorf("core: repair quiescence not reached in %d rounds: %s", maxRounds, conflict)
-			end(err)
-			return rs, err
-		}
-		if c.machine.RunRound() == 0 {
-			err := fmt.Errorf("core: guest parked inside page under repair: %s", conflict)
-			end(err)
-			return rs, err
-		}
-		rs.Rounds++
-		targets = c.liveTargets()
-		if len(targets) == 0 {
-			end(ErrDead)
-			return rs, ErrDead
-		}
+		end(err)
+		return rs, err
 	}
 
 	// Forks during quiesce can add processes; re-key the live set.
@@ -529,20 +513,10 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 	for _, p := range targets {
 		byPID[p.PID()] = p
 	}
-	type writeRec struct {
-		mem  *kernel.Memory
-		addr uint64
-		orig []byte
-	}
-	var undo []writeRec
-	unwind := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			_ = undo[i].mem.Write(undo[i].addr, undo[i].orig)
-		}
-		rs.Repaired = 0
-	}
+	var undo undoLog
 	fail := func(err error) (RepairStats, error) {
-		unwind()
+		undo.unwind()
+		rs.Repaired = 0
 		end(err)
 		return rs, err
 	}
@@ -554,17 +528,10 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 		if ferr := c.machine.Fault(faultinject.SiteAttestRepair, mm.PID); ferr != nil {
 			return fail(fmt.Errorf("core: repairing page %#x: %w", mm.Page, ferr))
 		}
-		blob := blobs[i]
 		mem := p.Mem()
-		lo := mm.Page * kernel.PageSize
-		orig, err := mem.Read(lo, kernel.PageSize)
-		if err != nil {
-			return fail(fmt.Errorf("core: reading page %#x for repair: %w", mm.Page, err))
-		}
-		if err := mem.Write(lo, blob); err != nil {
+		if _, err := undo.write(mem, mm.Page*kernel.PageSize, blobs[i]); err != nil {
 			return fail(fmt.Errorf("core: repairing page %#x: %w", mm.Page, err))
 		}
-		undo = append(undo, writeRec{mem: mem, addr: lo, orig: orig})
 		if got := mem.HashPages([]uint64{mm.Page})[mm.Page]; got != mm.Want {
 			return fail(fmt.Errorf("core: page %#x still diverged after repair", mm.Page))
 		}

@@ -98,10 +98,6 @@ type Options struct {
 	// the last moment an external controller (a halted fleet rollout)
 	// can stop an in-flight rewrite without paying a rollback.
 	BeforeCommit func(attempt int) error
-	// LiveQuiesceRounds bounds how many scheduler rounds
-	// DisableBlocksLive runs waiting for quiescence before falling
-	// back to the checkpoint transaction (0 = DefaultQuiesceRounds).
-	LiveQuiesceRounds int
 	// Observer, when non-nil, receives a typed event for every rewrite
 	// phase (checkpoint, edit, validate, kill, restore, health,
 	// rollback) plus pipeline counters. New also installs it as the
@@ -217,14 +213,10 @@ type Customizer struct {
 	opts    Options
 
 	handlerLib *delf.File
-	handler    *Handler
+	editState
 
-	// saved[addr] = original bytes, for re-enabling features.
-	saved map[uint64][]byte
 	// disabled tracks currently-disabled block spans by feature name.
 	disabled map[string][]coverage.AbsBlock
-	// unmapped page ranges (cannot be re-enabled byte-wise).
-	unmapped []pageRange
 
 	// parent is the image set the live guest's memory is a delta
 	// against (the last committed images, PIDs remapped to the live
@@ -236,8 +228,6 @@ type Customizer struct {
 	// across rewrites instead of truncating to zero.
 	tickCarry float64
 
-	verifierCount int
-
 	// Expected-state oracle (attest.go): per-text-page expected digests
 	// with version history, resealed at every commit point. attStore is
 	// the content-addressed repair source — shared with the fleet's
@@ -248,6 +238,29 @@ type Customizer struct {
 }
 
 type pageRange struct{ start, end uint64 }
+
+// editState is the bookkeeping an edit closure mutates. Rewrite saves
+// one copy before the first attempt, hands every attempt a fresh copy
+// of it, and puts it back when the transaction does not commit.
+type editState struct {
+	handler *Handler
+	// saved[addr] = original bytes, for re-enabling features.
+	saved map[uint64][]byte
+	// unmapped page ranges (cannot be re-enabled byte-wise).
+	unmapped      []pageRange
+	verifierCount int
+}
+
+// clone deep-copies the state: edits may mutate saved bytes in place.
+func (e editState) clone() editState {
+	out := e
+	out.saved = make(map[uint64][]byte, len(e.saved))
+	for k, v := range e.saved {
+		out.saved[k] = append([]byte(nil), v...)
+	}
+	out.unmapped = append([]pageRange(nil), e.unmapped...)
+	return out
+}
 
 // New creates a Customizer for the process rooted at pid.
 func New(m *kernel.Machine, pid int, opts Options) (*Customizer, error) {
@@ -263,7 +276,7 @@ func New(m *kernel.Machine, pid int, opts Options) (*Customizer, error) {
 		pid:        pid,
 		opts:       opts,
 		handlerLib: lib,
-		saved:      map[uint64][]byte{},
+		editState:  editState{saved: map[uint64][]byte{}},
 		disabled:   map[string][]coverage.AbsBlock{},
 		attStore:   opts.AttestStore,
 	}
@@ -371,17 +384,9 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	// between dump and restore.
 	pristine := c.machine.MutateBlob(faultinject.SitePristine, set.Marshal())
 
-	// Edit closures mutate customizer bookkeeping (saved bytes,
-	// unmapped ranges, verifier table, handler). Snapshot it (deep,
-	// slices included — edits may mutate saved bytes in place) so every
-	// attempt starts clean and a failed transaction leaks nothing.
-	savedSnap := make(map[uint64][]byte, len(c.saved))
-	for k, v := range c.saved {
-		savedSnap[k] = append([]byte(nil), v...)
-	}
-	unmappedSnap := append([]pageRange(nil), c.unmapped...)
-	verifierSnap := c.verifierCount
-	handlerSnap := c.handler
+	// Edit closures mutate the edit state. Snapshot it so every attempt
+	// starts clean and a transaction that does not commit leaks nothing.
+	snap := c.editState.clone()
 
 	maxAttempts := c.opts.MaxAttempts
 	if maxAttempts < 1 {
@@ -393,13 +398,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 
 	for attempt := 1; attempt <= maxAttempts; attempt++ {
 		stats.Attempts = attempt
-		c.saved = make(map[uint64][]byte, len(savedSnap))
-		for k, v := range savedSnap {
-			c.saved[k] = append([]byte(nil), v...)
-		}
-		c.unmapped = append([]pageRange(nil), unmappedSnap...)
-		c.verifierCount = verifierSnap
-		c.handler = handlerSnap
+		c.editState = snap.clone()
 
 		endDecode := c.span("decode", attempt)
 		work, err := criu.Unmarshal(pristine)
@@ -457,10 +456,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// since ensureHandler/edit already mutated it this attempt.
 		if c.opts.BeforeCommit != nil {
 			if err := c.opts.BeforeCommit(attempt); err != nil {
-				c.saved = savedSnap
-				c.unmapped = unmappedSnap
-				c.verifierCount = verifierSnap
-				c.handler = handlerSnap
+				c.editState = snap
 				stats.RolledBack = rolledBack
 				c.point("rewrite.abort", int64(attempt))
 				return stats, fmt.Errorf("%w: %v", ErrAborted, err)
@@ -484,7 +480,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 
 		t3 := time.Now()
 		endRestore := c.span("restore", attempt)
-		procs, pidMap, err := criu.Restore(c.machine, work)
+		procs, pidMap, newRoot, err := c.restoreTree(work, rootOld)
 		endRestore(err)
 		stats.Restore += time.Since(t3)
 		if err != nil {
@@ -504,11 +500,6 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		}
 		stats.Downtime += time.Since(tKill)
 
-		newRoot := pidMap[rootOld]
-		if newRoot == 0 && len(procs) > 0 {
-			newRoot = procs[0].PID()
-		}
-
 		t4 := time.Now()
 		endHealth := c.span("health", attempt)
 		hcErr := c.healthCheck(newRoot, procs)
@@ -519,10 +510,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 			// guest is down again from the teardown until the rollback
 			// restore completes.
 			tDown := time.Now()
-			for i := len(procs) - 1; i >= 0; i-- {
-				c.machine.Kill(procs[i].PID())
-				c.machine.Remove(procs[i].PID())
-			}
+			c.teardown(procs)
 			endRB := c.span("rollback", attempt)
 			var rbErr error
 			curPIDs, rbErr = c.rollbackOr(&stats, pristine, blobParent, rootOld, hcErr)
@@ -557,10 +545,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	// point the guest is running the rolled-back pristine images;
 	// otherwise it was never touched. Either way the bookkeeping must
 	// match the pre-rewrite snapshot, not the dead attempt's edits.
-	c.saved = savedSnap
-	c.unmapped = unmappedSnap
-	c.verifierCount = verifierSnap
-	c.handler = handlerSnap
+	c.editState = snap
 	stats.RolledBack = rolledBack
 	if rolledBack {
 		return stats, fmt.Errorf("%w (after %d attempts): %w", ErrRolledBack, stats.Attempts, lastErr)
@@ -586,16 +571,12 @@ func (c *Customizer) rollbackOr(stats *Stats, pristine []byte, blobParent *criu.
 	}
 	if err == nil {
 		var procs []*kernel.Process
-		var pidMap map[int]int
-		procs, pidMap, err = criu.Restore(c.machine, set)
-		if err == nil {
+		var root int
+		if procs, _, root, err = c.restoreTree(set, rootOld); err == nil {
+			c.pid = root
 			pids := make([]int, len(procs))
 			for i, p := range procs {
 				pids[i] = p.PID()
-			}
-			c.pid = pidMap[rootOld]
-			if c.pid == 0 && len(procs) > 0 {
-				c.pid = procs[0].PID()
 			}
 			// The rolled-back pristine text is the expected state now.
 			_ = c.resealOracle()
@@ -604,6 +585,46 @@ func (c *Customizer) rollbackOr(stats *Stats, pristine []byte, blobParent *criu.
 	}
 	stats.RolledBack = false
 	return nil, fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
+}
+
+// restoreTree restores set and returns the restored processes, the
+// PID map, and the new root: the restored image of oldRoot, or the
+// first restored process when oldRoot is not in the set.
+func (c *Customizer) restoreTree(set *criu.ImageSet, oldRoot int) ([]*kernel.Process, map[int]int, int, error) {
+	procs, pidMap, err := criu.Restore(c.machine, set)
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	root := pidMap[oldRoot]
+	if root == 0 && len(procs) > 0 {
+		root = procs[0].PID()
+	}
+	return procs, pidMap, root, nil
+}
+
+// teardown kills and removes procs, children before parents.
+func (c *Customizer) teardown(procs []*kernel.Process) {
+	for i := len(procs) - 1; i >= 0; i-- {
+		c.machine.Kill(procs[i].PID())
+		c.machine.Remove(procs[i].PID())
+	}
+}
+
+// RestoreImages replaces the live guest with set outside the rewrite
+// cycle: every process on the machine is torn down, set is restored,
+// and the customizer is rebound (see Rebind) to the restored image of
+// oldRoot, or to the first restored process when oldRoot is not in
+// set. Callers read set before calling, so images that cannot be read
+// never cost the live guest. After a failed restore the machine holds
+// no live guest.
+func (c *Customizer) RestoreImages(set *criu.ImageSet, oldRoot int) error {
+	c.teardown(c.machine.Processes())
+	_, _, root, err := c.restoreTree(set, oldRoot)
+	if err != nil {
+		return err
+	}
+	c.Rebind(root)
+	return nil
 }
 
 // healthCheck probes the freshly restored tree before the transaction
@@ -826,36 +847,10 @@ func (c *Customizer) setVMAPerm(ed *crit.Editor, pid int, start uint64, perm uin
 // original bytes are written back (the paper's bidirectional
 // transformation). Unmapped pages cannot be re-enabled this way.
 func (c *Customizer) EnableBlocks(name string) (Stats, error) {
-	blocks, ok := c.disabled[name]
-	if !ok {
+	if _, ok := c.disabled[name]; !ok {
 		return Stats{}, fmt.Errorf("%w: %q", ErrNotDisabled, name)
 	}
-	patched := 0
-	stats, err := c.Rewrite(func(ed *crit.Editor, pids []int) error {
-		patched = 0 // the closure re-runs on retried attempts
-		for _, pid := range pids {
-			for _, b := range blocks {
-				orig, ok := c.saved[b.Addr]
-				if !ok {
-					return fmt.Errorf("core: no saved bytes for %#x", b.Addr)
-				}
-				if err := ed.WriteMem(pid, b.Addr, orig); err != nil {
-					return err
-				}
-				patched++
-			}
-		}
-		return nil
-	})
-	stats.BlocksPatched = patched
-	if err != nil {
-		return stats, err
-	}
-	for _, b := range blocks {
-		delete(c.saved, b.Addr)
-	}
-	delete(c.disabled, name)
-	return stats, nil
+	return c.enable([]string{name})
 }
 
 // EnableAll restores every currently disabled feature in a single
@@ -873,6 +868,12 @@ func (c *Customizer) EnableAll() (Stats, error) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	return c.enable(names)
+}
+
+// enable writes the saved original bytes of the named features back in
+// one rewrite and, once it commits, drops them from the bookkeeping.
+func (c *Customizer) enable(names []string) (Stats, error) {
 	patched := 0
 	stats, err := c.Rewrite(func(ed *crit.Editor, pids []int) error {
 		patched = 0 // the closure re-runs on retried attempts
@@ -949,11 +950,8 @@ func (c *Customizer) Checkpoint() (*criu.ImageSet, error) {
 // re-derives its state from the module table instead of re-injecting.
 func (c *Customizer) Rebind(pid int) {
 	c.pid = pid
-	c.saved = map[uint64][]byte{}
+	c.editState = editState{saved: map[uint64][]byte{}}
 	c.disabled = map[string][]coverage.AbsBlock{}
-	c.unmapped = nil
-	c.verifierCount = 0
-	c.handler = nil
 	c.parent = nil
 	c.tickCarry = 0
 	// The restored tree's text is a fresh expected state; the old

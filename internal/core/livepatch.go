@@ -44,6 +44,8 @@
 package core
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 
@@ -55,11 +57,11 @@ import (
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
-// DefaultQuiesceRounds bounds the quiescence loop when
-// Options.LiveQuiesceRounds is zero. A round gives every live process
-// one 64-instruction slice, so even a deep call chain inside an
-// affected block drains within a few rounds — a guest still unsafe
-// after eight is parked there and will never move.
+// DefaultQuiesceRounds bounds the quiesce step shared by the live
+// patch and attestation repair. A round gives every live process one
+// 64-instruction slice, so even a deep call chain inside an affected
+// block drains within a few rounds — a guest still unsafe after eight
+// is parked there and will never move.
 const DefaultQuiesceRounds = 8
 
 // blockSpan is one affected [lo, hi) text range.
@@ -137,84 +139,40 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 		endQ(ferr)
 		return stats, fmt.Sprintf("quiesce fault: %v", ferr), nil
 	}
-	maxRounds := c.opts.LiveQuiesceRounds
-	if maxRounds <= 0 {
-		maxRounds = DefaultQuiesceRounds
-	}
-	for {
-		conflict := liveConflict(targets, spans)
-		if conflict == "" {
-			break
-		}
-		if stats.QuiesceRounds >= maxRounds {
-			endQ(nil)
-			return stats, fmt.Sprintf("quiescence not reached in %d rounds: %s", maxRounds, conflict), nil
-		}
-		n := c.machine.RunRound()
-		stats.QuiesceRounds++
-		if n == 0 {
-			// Every live process is blocked; more rounds cannot move
-			// the conflicting RIP or pop the conflicting frame.
-			endQ(nil)
-			return stats, fmt.Sprintf("guest parked inside affected block: %s", conflict), nil
-		}
-		// Fork during a round can add targets; recompute so a child
-		// parked inside a block is seen before we patch.
-		targets = c.liveTargets()
-		if len(targets) == 0 {
-			endQ(nil)
-			return stats, "", ErrDead
-		}
-	}
+	targets, rounds, qerr := c.quiesce(spans)
+	stats.QuiesceRounds = rounds
 	endQ(nil)
+	if errors.Is(qerr, ErrDead) {
+		return stats, "", ErrDead
+	}
+	if qerr != nil {
+		return stats, qerr.Error(), nil
+	}
 
 	// Patch: write INT3 through Memory.Write (breaks CoW, marks the
 	// page dirty — the next incremental checkpoint carries the patch).
-	// Every write is recorded so any failure unwinds to pristine text.
-	type writeRec struct {
-		mem  *kernel.Memory
-		addr uint64
-		orig []byte
-	}
-	var undo []writeRec
-	unwind := func() {
-		for i := len(undo) - 1; i >= 0; i-- {
-			// Restoring bytes just written cannot fail: the pages are
-			// resident and private after the patch write.
-			_ = undo[i].mem.Write(undo[i].addr, undo[i].orig)
-		}
-	}
+	// Every write is logged so any failure unwinds to pristine text.
+	var undo undoLog
 	endP := c.span("livepatch.patch", 0)
 	savedNew := map[uint64][]byte{}
 	patched := 0
 	for _, p := range targets {
-		mem := p.Mem()
 		for _, b := range blocks {
 			n := 1
 			if policy == PolicyWipeBlocks {
 				n = int(b.Size)
 			}
 			if ferr := c.machine.Fault(faultinject.SiteLivePatchPatch, p.PID()); ferr != nil {
-				unwind()
+				undo.unwind()
 				endP(ferr)
 				return stats, fmt.Sprintf("patch fault at %#x: %v", b.Addr, ferr), nil
 			}
-			orig, rerr := mem.Read(b.Addr, n)
-			if rerr != nil {
-				unwind()
-				endP(rerr)
-				return stats, fmt.Sprintf("reading %#x: %v", b.Addr, rerr), nil
-			}
-			fill := make([]byte, n)
-			for i := range fill {
-				fill[i] = 0xCC
-			}
-			if werr := mem.Write(b.Addr, fill); werr != nil {
-				unwind()
+			orig, werr := undo.write(p.Mem(), b.Addr, bytes.Repeat([]byte{0xCC}, n))
+			if werr != nil {
+				undo.unwind()
 				endP(werr)
 				return stats, fmt.Sprintf("patching %#x: %v", b.Addr, werr), nil
 			}
-			undo = append(undo, writeRec{mem: mem, addr: b.Addr, orig: orig})
 			if _, ok := c.saved[b.Addr]; !ok {
 				if _, ok := savedNew[b.Addr]; !ok {
 					savedNew[b.Addr] = orig
@@ -231,13 +189,13 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 	// transaction would abort at the same gate).
 	if c.opts.BeforeCommit != nil {
 		if aerr := c.opts.BeforeCommit(1); aerr != nil {
-			unwind()
+			undo.unwind()
 			c.point("rewrite.abort", 1)
 			return stats, "", fmt.Errorf("%w: %v", ErrAborted, aerr)
 		}
 	}
 	if ferr := c.machine.Fault(faultinject.SiteLivePatchCommit, len(blocks)); ferr != nil {
-		unwind()
+		undo.unwind()
 		return stats, fmt.Sprintf("commit fault: %v", ferr), nil
 	}
 	for addr, orig := range savedNew {
@@ -337,6 +295,72 @@ func inSpans(addr uint64, spans []blockSpan) bool {
 		}
 	}
 	return false
+}
+
+// quiesce is the step the live patch and attestation repair share
+// before they write a running guest's text: it runs scheduler rounds
+// until no RIP and no stack word of any live target lies in spans,
+// and returns the targets at that safe point. Every scheduler round
+// it asks for counts, the one that finds every process blocked
+// included. It gives up after DefaultQuiesceRounds rounds, or at once
+// when the guest is parked (no round can move a blocked process), and
+// returns ErrDead when every target has exited.
+func (c *Customizer) quiesce(spans []blockSpan) ([]*kernel.Process, int, error) {
+	targets := c.liveTargets()
+	rounds := 0
+	for {
+		if len(targets) == 0 {
+			return nil, rounds, ErrDead
+		}
+		conflict := liveConflict(targets, spans)
+		if conflict == "" {
+			return targets, rounds, nil
+		}
+		if rounds >= DefaultQuiesceRounds {
+			return nil, rounds, fmt.Errorf("quiescence not reached in %d rounds: %s", rounds, conflict)
+		}
+		n := c.machine.RunRound()
+		rounds++
+		if n == 0 {
+			return nil, rounds, fmt.Errorf("guest parked: %s", conflict)
+		}
+		// Fork during a round can add targets; recompute so a child
+		// parked inside a span is seen before anything is written.
+		targets = c.liveTargets()
+	}
+}
+
+// undoLog records the bytes each in-place text write replaced, so a
+// live patch or repair that fails part-way puts every byte back.
+type undoLog []textWrite
+
+type textWrite struct {
+	mem  *kernel.Memory
+	addr uint64
+	orig []byte
+}
+
+// write logs the bytes at addr, then overwrites them with data, and
+// returns the old bytes. The entry is logged before the write, so
+// unwind also covers a write that failed part-way.
+func (u *undoLog) write(mem *kernel.Memory, addr uint64, data []byte) ([]byte, error) {
+	orig, err := mem.Read(addr, len(data))
+	if err != nil {
+		return nil, err
+	}
+	*u = append(*u, textWrite{mem: mem, addr: addr, orig: orig})
+	return orig, mem.Write(addr, data)
+}
+
+// unwind restores every logged write, newest first. Restoring bytes
+// just read cannot fail: the pages are resident, and private after the
+// first write.
+func (u *undoLog) unwind() {
+	for i := len(*u) - 1; i >= 0; i-- {
+		w := (*u)[i]
+		_ = w.mem.Write(w.addr, w.orig)
+	}
+	*u = nil
 }
 
 // liveConflict reports why patching is unsafe right now ("" = safe):

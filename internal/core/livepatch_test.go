@@ -141,7 +141,7 @@ func TestLivePatchDirtyPagesSurviveDeltaDump(t *testing.T) {
 // patched under the child's feet.)
 func TestLivePatchForkedChildForcesFallback(t *testing.T) {
 	tb, _, c := liveTestbed(t, webserv.Config{Name: "nginx", Port: 9302, Workers: 2},
-		Options{Tree: true, LiveQuiesceRounds: 3})
+		Options{Tree: true})
 
 	procs := tb.m.Processes()
 	if len(procs) < 3 {
@@ -176,7 +176,7 @@ func TestLivePatchForkedChildForcesFallback(t *testing.T) {
 // path even though no RIP is anywhere near it.
 func TestLivePatchStackReturnAddressForcesFallback(t *testing.T) {
 	tb, blocks, c := liveTestbed(t, webserv.Config{Name: "lighttpd", Port: 9303},
-		Options{LiveQuiesceRounds: 2})
+		Options{})
 
 	root, err := tb.m.Process(c.PID())
 	if err != nil {
@@ -230,7 +230,7 @@ func TestLivePatchFallbackLadder(t *testing.T) {
 	cases := []struct {
 		name    string
 		policy  Policy
-		opts    Options // Tree/Verifier/LiveQuiesceRounds extras
+		opts    Options // Tree/Verifier extras
 		handler bool    // pre-install the handler library
 		arm     func(in *faultinject.Injector)
 		reason  string

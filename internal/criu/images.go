@@ -149,10 +149,6 @@ type ProcImage struct {
 	parent *ProcImage
 }
 
-// ParentImage returns the bound parent proc image (nil for a full
-// image or an unbound delta).
-func (pi *ProcImage) ParentImage() *ProcImage { return pi.parent }
-
 // ownPage returns the page data held by this image itself, without
 // consulting the parent chain.
 func (pi *ProcImage) ownPage(pn uint64) ([]byte, bool, error) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/dynacut/dynacut/internal/core"
+	"github.com/dynacut/dynacut/internal/criu"
 	"github.com/dynacut/dynacut/internal/faultinject"
 )
 
@@ -113,5 +114,61 @@ func TestFleetChaosRollbackFaults(t *testing.T) {
 			}
 			assertConverged(t, f, res)
 		})
+	}
+}
+
+// TestFleetPristineRotKeepsReplicaServing: a pristine page that rots in
+// the shared store, and stays rotten, makes every restore try fail.
+// The images are read before the live tree is torn down, so the
+// replica is lost to the rollout but keeps serving its committed
+// version instead of being left with no live process.
+func TestFleetPristineRotKeepsReplicaServing(t *testing.T) {
+	tpl := bootTemplate(t)
+	inj := faultinject.New(5)
+	f, err := New(tpl.m, tpl.pid, Config{
+		Replicas: 3, Workers: 1, CanaryShards: 1, WaveSize: 2,
+		Core: coreOpts(tpl), FaultHook: inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The first blob read after this is the halt path's Materialize of
+	// replica 1's pristine images: the rot is persistent, so all
+	// rollbackTries tries see it.
+	inj.FailOnce(faultinject.SiteStoreRot)
+	res, err := f.Rollout(func(r *Replica) (core.Stats, error) {
+		if r.Index == 2 {
+			return core.Stats{}, fmt.Errorf("payload failure on replica %d", r.Index)
+		}
+		return r.Cust.DisableBlocks("webdav-write", tpl.blocks, core.PolicyBlockEntry)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if inj.Injected() == 0 {
+		t.Fatal("armed store rot never fired")
+	}
+	out := res.Outcomes[1]
+	if out.Outcome != OutcomeLost || !errors.Is(out.Err, criu.ErrStoreCorrupt) {
+		t.Fatalf("replica 1 = %v (%v), want lost to a corrupt store", out.Outcome, out.Err)
+	}
+	if len(out.RestoreErrs) != rollbackTries {
+		t.Fatalf("restore tries = %d, want %d", len(out.RestoreErrs), rollbackTries)
+	}
+	m := f.Replicas()[1].Machine
+	live := 0
+	for _, p := range m.Processes() {
+		if !p.Exited() {
+			live++
+		}
+	}
+	if live == 0 {
+		t.Fatal("replica 1 has no live process: torn down before its images were read")
+	}
+	if got := request(m, 8080, "GET /\n"); !strings.Contains(got, "200") {
+		t.Fatalf("replica 1 not serving: GET -> %q", got)
+	}
+	if got := request(m, 8080, "PUT /f data\n"); !strings.Contains(got, "403") {
+		t.Fatalf("replica 1 PUT -> %q, want its committed version (403)", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 
 	"github.com/dynacut/dynacut/internal/core"
 	"github.com/dynacut/dynacut/internal/faultinject"
-	"github.com/dynacut/dynacut/internal/supervise"
 )
 
 // Controller is the event-driven rollout engine: a work queue of
@@ -77,25 +76,6 @@ type StepEvent struct {
 	VClock uint64
 }
 
-// ControllerStatus is an incremental snapshot of a rollout in flight:
-// per-replica outcomes so far, queue/lease accounting, and the
-// supervise.Aggregate fold of any attached per-replica supervisors —
-// one struct answering "how is the rollout doing" mid-wave.
-type ControllerStatus struct {
-	VClock        uint64
-	Wave          int
-	Done          int
-	Skipped       int
-	LeaseExpiries int
-	Requeues      int
-	Halted        bool
-	Crashed       bool
-	Resumed       bool
-	Outcomes      []Outcome
-	Attempts      []int
-	Supervise     supervise.AggregateStatus
-}
-
 // step is one unit of rollout work: rewrite one replica, attempt n.
 type step struct {
 	replica   int
@@ -125,17 +105,11 @@ type Controller struct {
 	prior    []Record // journal records from a dead predecessor
 	hasStart bool
 
-	mu            sync.Mutex
-	vclock        uint64
-	wave          int
-	done          int
-	skipped       int
-	leaseExpiries int
-	requeues      int
-	crashed       bool
-	resumed       bool
-	outcomes      []Outcome
-	attempts      []int
+	mu       sync.Mutex
+	vclock   uint64
+	crashed  bool
+	resumed  bool
+	attempts []int
 }
 
 // NewController builds a fresh controller over the fleet with an
@@ -152,7 +126,6 @@ func NewController(f *Fleet, j *Journal) *Controller {
 		f:        f,
 		j:        j,
 		lanes:    make([]uint64, f.cfg.Workers),
-		outcomes: make([]Outcome, len(f.replicas)),
 		attempts: make([]int, len(f.replicas)),
 	}
 }
@@ -185,49 +158,11 @@ func ResumeController(f *Fleet, journal []byte) (*Controller, error) {
 // while Run is in flight).
 func (c *Controller) Journal() *Journal { return c.j }
 
-// Status snapshots the rollout's incremental progress, folding any
-// attached per-replica supervisors through supervise.Aggregate.
-func (c *Controller) Status() ControllerStatus {
-	c.mu.Lock()
-	st := ControllerStatus{
-		VClock:        c.vclock,
-		Wave:          c.wave,
-		Done:          c.done,
-		Skipped:       c.skipped,
-		LeaseExpiries: c.leaseExpiries,
-		Requeues:      c.requeues,
-		Halted:        c.f.halted.Load(),
-		Crashed:       c.crashed,
-		Resumed:       c.resumed,
-		Outcomes:      append([]Outcome(nil), c.outcomes...),
-		Attempts:      append([]int(nil), c.attempts...),
-	}
-	c.mu.Unlock()
-	var sups []supervise.Status
-	for _, s := range c.f.sups {
-		sups = append(sups, s.Status())
-	}
-	st.Supervise = supervise.Aggregate(sups...)
-	return st
-}
-
 // emit streams one step event to the configured callback.
 func (c *Controller) emit(ev StepEvent) {
 	if c.f.cfg.OnStep != nil {
 		c.f.cfg.OnStep(ev)
 	}
-}
-
-// note records a replica's current outcome for Status snapshots.
-func (c *Controller) note(replica int, o Outcome, skipped bool) {
-	c.mu.Lock()
-	c.outcomes[replica] = o
-	if skipped {
-		c.skipped++
-	} else {
-		c.done++
-	}
-	c.mu.Unlock()
 }
 
 // setClock advances the published virtual clock (monotonic).
@@ -451,7 +386,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 			if st.resolved {
 				res.Outcomes[i] = st.outcome
 				res.Outcomes[i].Index = i
-				c.note(i, st.outcome.Outcome, st.outcome.Outcome == OutcomeCommitted)
 				if st.outcome.Outcome == OutcomeCommitted {
 					res.SkippedCommitted++
 					f.obs.Point("fleet.resume.skip", int64(i))
@@ -471,7 +405,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 					res.Outcomes[i].Outcome = OutcomeCommitted
 					res.Outcomes[i].Ticks = 1
 					res.SkippedCommitted++
-					c.note(i, OutcomeCommitted, true)
 					f.obs.Point("fleet.resume.skip", int64(i))
 					c.emit(StepEvent{Kind: "skip", Replica: i, Wave: st.wave, Outcome: OutcomeCommitted, VClock: c.lanes[0]})
 					if !c.append(Record{Kind: RecOutcome, Replica: int32(i), Wave: int32(st.wave),
@@ -524,9 +457,6 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 	}
 
 	for wi, wave := range waves {
-		c.mu.Lock()
-		c.wave = wi
-		c.mu.Unlock()
 		if fails, ok := waveFails[wi]; ok {
 			// Wave fully resolved before the crash.
 			res.Waves = append(res.Waves, WaveResult{
@@ -696,9 +626,6 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 				// or fails for good once the budget is spent.
 				c.lanes[l.lane] = l.deadline
 				c.setClock(l.deadline)
-				c.mu.Lock()
-				c.leaseExpiries++
-				c.mu.Unlock()
 				res.LeaseExpiries++
 				f.obs.Point("fleet.lease.expired", int64(ri))
 				c.emit(StepEvent{Kind: "expire", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.deadline})
@@ -707,7 +634,6 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 					out.Outcome = OutcomeFailed
 					out.Err = fmt.Errorf("fleet: replica %d lease expired %d times, retry budget exhausted", ri, l.step.attempt)
 					out.Ticks = 1
-					c.note(ri, OutcomeFailed, false)
 					c.emit(StepEvent{Kind: "budget-exhausted", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.deadline})
 					if !c.append(Record{Kind: RecOutcome, Replica: int32(ri), Wave: int32(wi), Attempt: int32(l.step.attempt),
 						Outcome: OutcomeFailed, Ticks: 1, VClock: l.deadline,
@@ -720,9 +646,6 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 				l.step.attempt++
 				l.step.notBefore = l.deadline + backoff
 				pending = append(pending, l.step)
-				c.mu.Lock()
-				c.requeues++
-				c.mu.Unlock()
 				res.Requeues++
 				f.obs.Point("fleet.step.requeue", int64(ri))
 				c.emit(StepEvent{Kind: "requeue", Replica: ri, Wave: wi, Attempt: l.step.attempt, VClock: l.step.notBefore})
@@ -732,7 +655,6 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 			res.Outcomes[ri] = l.out
 			c.lanes[l.lane] = l.start + l.out.Ticks
 			c.setClock(c.lanes[l.lane])
-			c.note(ri, l.out.Outcome, false)
 			f.obs.Point("fleet.step.outcome", int64(ri))
 			mode := f.cfg.outcomeMode(l.out.Stats)
 			c.emit(StepEvent{Kind: "outcome", Replica: ri, Wave: wi, Attempt: l.step.attempt,
@@ -800,7 +722,6 @@ func (c *Controller) execute(l *lease, apply func(r *Replica) (core.Stats, error
 // result, so a crash between restores is resumable.
 func (c *Controller) restoreJournaled(out *ReplicaOutcome, wave int) {
 	c.f.restorePristine(out)
-	c.note(out.Index, out.Outcome, false)
 	note := ""
 	if out.Err != nil {
 		note = out.Err.Error()

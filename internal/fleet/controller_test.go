@@ -9,7 +9,6 @@ import (
 
 	"github.com/dynacut/dynacut/internal/core"
 	"github.com/dynacut/dynacut/internal/faultinject"
-	"github.com/dynacut/dynacut/internal/supervise"
 )
 
 // TestControllerJournalShape: a clean rollout journals a start record,
@@ -180,36 +179,20 @@ func TestMidWaveHaltAbortsInFlight(t *testing.T) {
 }
 
 // TestControllerStepStreamAndStatus: the controller streams every
-// scheduling event through Config.OnStep, and Status() snapshots taken
-// mid-rollout show monotone progress with the per-replica supervisors
-// folded in through supervise.Aggregate.
+// scheduling event through Config.OnStep — one lease and then one
+// committed outcome per replica in a clean rollout.
 func TestControllerStepStreamAndStatus(t *testing.T) {
 	tpl := bootTemplate(t)
-	var c *Controller
 	var events []StepEvent
-	var snaps []ControllerStatus
 	f, err := New(tpl.m, tpl.pid, Config{
 		Replicas: 6, Workers: 2, CanaryShards: 1, WaveSize: 2,
-		Core: coreOpts(tpl),
-		OnStep: func(ev StepEvent) {
-			events = append(events, ev)
-			if ev.Kind == "outcome" {
-				snaps = append(snaps, c.Status())
-			}
-		},
+		Core:   coreOpts(tpl),
+		OnStep: func(ev StepEvent) { events = append(events, ev) },
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = f.AttachSupervisors(func(r *Replica) supervise.Config {
-		rm := r.Machine
-		return supervise.Config{Canary: func() error { return healthProbe(rm, 0) }}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c = NewController(f, nil)
-	res, err := c.Run(disableWebdav(tpl))
+	res, err := NewController(f, nil).Run(disableWebdav(tpl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,28 +211,18 @@ func TestControllerStepStreamAndStatus(t *testing.T) {
 		t.Fatalf("clean rollout streamed failure events: %v", kinds)
 	}
 
-	// Progress is monotone and ends complete; the supervise fold sees
-	// the whole fleet at every snapshot.
-	if len(snaps) != 6 {
-		t.Fatalf("%d status snapshots, want 6", len(snaps))
-	}
-	for i, st := range snaps {
-		if i > 0 && st.Done < snaps[i-1].Done {
-			t.Fatalf("Done regressed: %d -> %d", snaps[i-1].Done, st.Done)
+	// Every replica reports exactly one committed outcome, streamed
+	// after its own lease.
+	leased, seen := map[int]bool{}, map[int]bool{}
+	for _, ev := range events {
+		switch ev.Kind {
+		case "lease":
+			leased[ev.Replica] = true
+		case "outcome":
+			if !leased[ev.Replica] || seen[ev.Replica] || ev.Outcome != OutcomeCommitted {
+				t.Fatalf("outcome event %+v: want one committed outcome per leased replica", ev)
+			}
+			seen[ev.Replica] = true
 		}
-		if st.Supervise.Instances != 6 || st.Supervise.Attached != 6 {
-			t.Fatalf("snapshot %d supervise fold = %+v, want 6 attached instances", i, st.Supervise)
-		}
-		if st.Crashed || st.Halted || st.Resumed {
-			t.Fatalf("snapshot %d reports crash/halt/resume in a clean rollout: %+v", i, st)
-		}
-	}
-	final := snaps[len(snaps)-1]
-	if final.Done != 6 {
-		t.Fatalf("final snapshot Done = %d, want 6", final.Done)
-	}
-	mid := snaps[2]
-	if mid.Done == 0 || mid.Done == 6 {
-		t.Fatalf("mid-rollout snapshot should show partial progress, got Done=%d", mid.Done)
 	}
 }

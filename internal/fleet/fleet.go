@@ -25,7 +25,6 @@ import (
 	"github.com/dynacut/dynacut/internal/faultinject"
 	"github.com/dynacut/dynacut/internal/kernel"
 	"github.com/dynacut/dynacut/internal/obs"
-	"github.com/dynacut/dynacut/internal/supervise"
 )
 
 // Fleet errors.
@@ -314,7 +313,6 @@ type Fleet struct {
 	replicas []*Replica
 	obs      *obs.Observer
 	halted   atomic.Bool
-	sups     []*supervise.Supervisor
 }
 
 // New clones the template machine into cfg.Replicas independent
@@ -500,26 +498,19 @@ func (f *Fleet) restorePristine(out *ReplicaOutcome) {
 	r := f.replicas[out.Index]
 	out.RestoreErrs = nil
 	for try := 1; try <= rollbackTries; try++ {
-		if err := r.Machine.Fault(faultinject.SiteFleetRollback, r.Index); err != nil {
-			out.RestoreErrs = append(out.RestoreErrs, err)
-			continue
+		// The images are read before the live tree is torn down: a
+		// replica whose pristine images cannot be read keeps serving.
+		err := r.Machine.Fault(faultinject.SiteFleetRollback, r.Index)
+		if err == nil {
+			var set *criu.ImageSet
+			if set, err = f.store.Materialize(r.PristineID); err == nil {
+				err = r.Cust.RestoreImages(set, r.pristineRoot)
+			}
 		}
-		// Tear down whatever tree is live (children before parents).
-		procs := r.Machine.Processes()
-		for i := len(procs) - 1; i >= 0; i-- {
-			r.Machine.Kill(procs[i].PID())
-			r.Machine.Remove(procs[i].PID())
-		}
-		procs2, pidMap, err := criu.RestoreFromStore(r.Machine, f.store, r.PristineID)
 		if err != nil {
 			out.RestoreErrs = append(out.RestoreErrs, err)
 			continue
 		}
-		newRoot := pidMap[r.pristineRoot]
-		if newRoot == 0 && len(procs2) > 0 {
-			newRoot = procs2[0].PID()
-		}
-		r.Cust.Rebind(newRoot)
 		out.Outcome = OutcomeRestored
 		out.Err = nil
 		f.obs.Point("fleet.rollback", int64(out.Index))
@@ -532,50 +523,6 @@ func (f *Fleet) restorePristine(out *ReplicaOutcome) {
 	}
 	out.Err = fmt.Errorf("fleet: replica %d pristine restore failed after %d tries: %w",
 		out.Index, rollbackTries, lastErr)
-}
-
-// AttachSupervisors puts one supervisor on every replica. mk builds
-// the per-replica config (canary probes must target that replica's
-// machine). Supervisors observe through the replica's own observer
-// unless mk says otherwise.
-func (f *Fleet) AttachSupervisors(mk func(r *Replica) supervise.Config) error {
-	for _, r := range f.replicas {
-		cfg := mk(r)
-		if cfg.Observer == nil {
-			cfg.Observer = r.Obs
-		}
-		s := supervise.New(r.Machine, r.Cust, cfg)
-		if err := s.Attach(); err != nil {
-			return fmt.Errorf("fleet: attaching supervisor to replica %d: %w", r.Index, err)
-		}
-		f.sups = append(f.sups, s)
-	}
-	return nil
-}
-
-// Supervisors returns the attached per-replica supervisors (empty
-// before AttachSupervisors).
-func (f *Fleet) Supervisors() []*supervise.Supervisor {
-	return append([]*supervise.Supervisor(nil), f.sups...)
-}
-
-// Status aggregates the per-replica supervisor snapshots into one
-// fleet-level status. Before AttachSupervisors it reports zero
-// instances.
-type Status struct {
-	Replicas  []supervise.Status
-	Aggregate supervise.AggregateStatus
-}
-
-// Status snapshots every attached supervisor and folds the snapshots
-// into a fleet-level aggregate.
-func (f *Fleet) Status() Status {
-	var st Status
-	for _, s := range f.sups {
-		st.Replicas = append(st.Replicas, s.Status())
-	}
-	st.Aggregate = supervise.Aggregate(st.Replicas...)
-	return st
 }
 
 // Timeline merges the fleet-level event stream with every replica's,

@@ -216,10 +216,10 @@ var (
 	ErrTruncated = errors.New("loadgen: response truncated by request budget")
 )
 
-// drainTicks is the quiet window, matching Session.requestOnce's drain:
-// once a response has bytes, a driver keeps waiting in windows of this
-// size as long as new bytes keep arriving, and declares the response
-// complete after a full window with none.
+// drainTicks is the quiet window of Drain: once a response has bytes,
+// a driver keeps waiting in windows of this size as long as new bytes
+// keep arriving, and declares the response complete after a full
+// window with none.
 const drainTicks = 50_000
 
 // Run drives the workload for the given number of buckets.
@@ -283,9 +283,9 @@ func (d *Driver) Run(buckets int) (*Result, error) {
 
 // one issues a single request and returns its latency in guest
 // instructions, measured to the last response byte: the response is
-// drained adaptively (like Session.requestOnce) so multi-segment
-// responses are fully read instead of being scored at time-to-first-
-// byte and closed with unread data.
+// drained adaptively (see Drain) so multi-segment responses are fully
+// read instead of being scored at time-to-first-byte and closed with
+// unread data.
 func (d *Driver) one() (uint64, error) {
 	conn, err := d.Machine.Dial(d.Port)
 	if err != nil {
@@ -297,31 +297,51 @@ func (d *Driver) one() (uint64, error) {
 	if _, err := conn.Write([]byte(payload)); err != nil {
 		return 0, err
 	}
+	body, lastByte, truncated := Drain(d.Machine, conn, t0, d.RequestBudget)
+	if len(body) == 0 {
+		return 0, fmt.Errorf("no response to %q", payload)
+	}
+	if truncated {
+		return 0, fmt.Errorf("%w: %q got %d bytes in %d ticks", ErrTruncated, payload, len(body), d.RequestBudget)
+	}
+	return lastByte - t0, nil
+}
+
+// Drain reads one response from conn, whose request was written at
+// clock start. It runs m until the first byte or the close, then keeps
+// granting drainTicks windows while bytes keep arriving. The response
+// is complete at the close, after a full window with no new bytes, or
+// as soon as the machine goes idle: a blocked guest holding the
+// connection open can never send another byte, and an idle machine's
+// clock never moves, so waiting longer would spin forever. The whole
+// exchange is bounded by budget ticks from start. Drain returns the
+// body, the clock when its last byte was read (start if none), and
+// whether the response was truncated: the connection still open and
+// mid-response when the budget ran out.
+func Drain(m *kernel.Machine, conn *kernel.HostConn, start, budget uint64) (body []byte, lastByte uint64, truncated bool) {
 	budgetLeft := func() uint64 {
-		used := d.Machine.Clock() - t0
-		if used >= d.RequestBudget {
+		used := m.Clock() - start
+		if used >= budget {
 			return 0
 		}
-		return d.RequestBudget - used
+		return budget - used
 	}
-	// Drain response bytes as they arrive (ReadAll, not a peek): the
-	// guest's close is only observable once the buffer is empty, and a
-	// closing server is the fast path — completion at the close, no
-	// quiet window paid.
-	got := 0
-	lastByte := t0
+	// Drain bytes as they arrive (ReadAll, not a peek): the guest's
+	// close is only observable once the buffer is empty, and a closing
+	// server is the fast path — completion at the close, no quiet
+	// window paid.
+	lastByte = start
 	collect := func() bool {
 		b := conn.ReadAll()
 		if len(b) == 0 {
 			return false
 		}
-		got += len(b)
-		lastByte = d.Machine.Clock()
+		body = append(body, b...)
+		lastByte = m.Clock()
 		return true
 	}
-	d.Machine.RunUntil(func() bool {
-		return len(conn.ReadAllPeek()) > 0 || conn.Closed()
-	}, d.RequestBudget)
+	arrived := func() bool { return len(conn.ReadAllPeek()) > 0 || conn.Closed() }
+	m.RunUntil(arrived, budget)
 	collect()
 	quiet := false // no more bytes are coming: the response is done
 	for !conn.Closed() {
@@ -330,28 +350,15 @@ func (d *Driver) one() (uint64, error) {
 			break
 		}
 		window := min(drainTicks, left)
-		before := d.Machine.Clock()
-		d.Machine.RunUntil(func() bool {
-			return len(conn.ReadAllPeek()) > 0 || conn.Closed()
-		}, window)
+		before := m.Clock()
+		m.RunUntil(arrived, window)
 		if collect() {
 			continue
 		}
-		// Quiet when a full drain window passed with no new bytes, or
-		// when the machine went fully idle (no steps executed): a
-		// blocked guest holding our only connection can never produce
-		// another byte, so waiting longer — at any window size — is
-		// pointless and would spin the loop with the clock frozen.
-		if window == drainTicks || d.Machine.Clock() == before {
+		if window == drainTicks || m.Clock() == before {
 			quiet = true
 			break
 		}
 	}
-	if got == 0 {
-		return 0, fmt.Errorf("no response to %q", payload)
-	}
-	if !conn.Closed() && !quiet && budgetLeft() == 0 {
-		return 0, fmt.Errorf("%w: %q got %d bytes in %d ticks", ErrTruncated, payload, got, d.RequestBudget)
-	}
-	return lastByte - t0, nil
+	return body, lastByte, !conn.Closed() && !quiet && budgetLeft() == 0
 }

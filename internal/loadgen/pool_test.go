@@ -5,30 +5,23 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
-
-	"github.com/dynacut/dynacut/internal/kernel"
 )
 
 // TestPoolDrivesClonedReplicas is the fleet traffic shape: one booted
-// template cloned into N replicas, each driven by its own Driver under
-// a bounded worker count, results merged into one fleet view.
+// template cloned into N replicas, each driven by its own OpenDriver
+// under a bounded worker count, results merged into one fleet view.
 func TestPoolDrivesClonedReplicas(t *testing.T) {
 	m, port := bootKV(t)
 	const replicas = 4
-	mkDriver := func(rm *kernel.Machine) *Driver {
-		return &Driver{
-			Machine:     rm,
-			Port:        port,
-			Mix:         NewMix(Request{Payload: "PING\n"}),
-			BucketTicks: 50_000,
-		}
-	}
-	pool := &Pool{Workers: 2}
+	pool := &OpenPool{Workers: 2}
 	for i := 0; i < replicas; i++ {
-		pool.Drivers = append(pool.Drivers, mkDriver(m.Clone()))
+		pool.Drivers = append(pool.Drivers, &OpenDriver{
+			Machine: m.Clone(), Port: port, Schedule: NewConstant(20_000),
+			Mix: NewMix(Request{Payload: "PING\n"}), BucketTicks: 50_000,
+		})
 	}
 
-	results, err := pool.Run(3)
+	results, err := pool.Run(150_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,17 +35,18 @@ func TestPoolDrivesClonedReplicas(t *testing.T) {
 	}
 
 	merged := Merge(results...)
-	wantTotal := 0
+	wantTotal, maxBuckets := 0, 0
 	for _, r := range results {
 		wantTotal += r.Total
+		maxBuckets = max(maxBuckets, len(r.Buckets))
 	}
 	if merged.Total != wantTotal || merged.Latency.Count() != wantTotal {
 		t.Fatalf("merged total = %d (samples %d), want %d", merged.Total, merged.Latency.Count(), wantTotal)
 	}
-	if len(merged.Buckets) != 3 {
-		t.Fatalf("merged buckets = %d", len(merged.Buckets))
+	if len(merged.Buckets) != maxBuckets {
+		t.Fatalf("merged buckets = %d, want %d", len(merged.Buckets), maxBuckets)
 	}
-	for b := 0; b < 3; b++ {
+	for b := range merged.Buckets {
 		sum := 0
 		for _, r := range results {
 			sum += r.Throughput(b)
@@ -72,10 +66,11 @@ func TestPoolDrivesClonedReplicas(t *testing.T) {
 
 func TestPoolReportsPerReplicaFailure(t *testing.T) {
 	m, port := bootKV(t)
-	good := &Driver{Machine: m.Clone(), Port: port, Mix: NewMix(Request{Payload: "PING\n"}), BucketTicks: 50_000}
-	bad := &Driver{Machine: m.Clone(), Port: port} // no mix
-	pool := &Pool{Drivers: []*Driver{good, bad}}
-	results, err := pool.Run(2)
+	sched := NewConstant(20_000)
+	good := &OpenDriver{Machine: m.Clone(), Port: port, Schedule: sched, Mix: NewMix(Request{Payload: "PING\n"})}
+	bad := &OpenDriver{Machine: m.Clone(), Port: port, Schedule: sched} // no mix
+	pool := &OpenPool{Drivers: []*OpenDriver{good, bad}}
+	results, err := pool.Run(100_000)
 	if err == nil {
 		t.Fatal("pool swallowed a driver failure")
 	}
@@ -95,13 +90,14 @@ func TestPoolReportsPerReplicaFailure(t *testing.T) {
 // failing replica's error, hiding the rest of a multi-replica outage.
 func TestPoolJoinsAllFailures(t *testing.T) {
 	m, port := bootKV(t)
+	sched := NewConstant(20_000)
 	mix := NewMix(Request{Payload: "PING\n"})
-	pool := &Pool{Drivers: []*Driver{
-		{Machine: m.Clone(), Port: port},           // replica 0: no mix
-		{Machine: m.Clone(), Port: port, Mix: mix}, // replica 1: healthy
-		{Machine: m.Clone(), Port: port},           // replica 2: no mix
+	pool := &OpenPool{Drivers: []*OpenDriver{
+		{Machine: m.Clone(), Port: port, Schedule: sched},           // replica 0: no mix
+		{Machine: m.Clone(), Port: port, Schedule: sched, Mix: mix}, // replica 1: healthy
+		{Machine: m.Clone(), Port: port, Schedule: sched},           // replica 2: no mix
 	}}
-	results, err := pool.Run(2)
+	results, err := pool.Run(100_000)
 	if err == nil {
 		t.Fatal("pool swallowed failures")
 	}

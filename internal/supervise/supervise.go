@@ -642,29 +642,17 @@ func (s *Supervisor) restorePristine(now uint64) bool {
 	end := s.span("supervise.restore")
 	var lastErr error
 	for attempt := 1; attempt <= restoreAttempts; attempt++ {
-		if err := s.m.Fault(faultinject.SiteSuperviseRestore, attempt); err != nil {
-			lastErr = err
-			continue
+		err := s.m.Fault(faultinject.SiteSuperviseRestore, attempt)
+		if err == nil {
+			var set *criu.ImageSet
+			if set, err = criu.Unmarshal(s.lastGood); err == nil {
+				err = s.cust.RestoreImages(set, s.rootAt)
+			}
 		}
-		set, err := criu.Unmarshal(s.lastGood)
 		if err != nil {
 			lastErr = err
 			continue
 		}
-		for _, p := range s.m.Processes() {
-			s.m.Kill(p.PID())
-			s.m.Remove(p.PID())
-		}
-		procs, pidMap, err := criu.Restore(s.m, set)
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		root := pidMap[s.rootAt]
-		if root == 0 && len(procs) > 0 {
-			root = procs[0].PID()
-		}
-		s.cust.Rebind(root)
 		s.restored = true
 		s.disarmed = true // pristine images predate all edits; stay off until Rearm
 		s.lastHits = 0

@@ -6,6 +6,7 @@ import (
 	"strings"
 
 	"github.com/dynacut/dynacut/internal/coverage"
+	"github.com/dynacut/dynacut/internal/loadgen"
 	"github.com/dynacut/dynacut/internal/trace"
 )
 
@@ -134,12 +135,6 @@ func (s *Session) Request(req string) (string, error) {
 	return resp, err
 }
 
-// drainWindow is how long requestOnce keeps running the guest while
-// waiting for the next response byte before concluding the response
-// is complete. It must comfortably exceed the longest inter-segment
-// computation a guest performs mid-response.
-const drainWindow = 50_000
-
 func (s *Session) requestOnce(req string) (string, error) {
 	conn, err := s.Machine.Dial(s.Port)
 	if err != nil {
@@ -149,51 +144,18 @@ func (s *Session) requestOnce(req string) (string, error) {
 	if _, err := conn.Write([]byte(req)); err != nil {
 		return "", err
 	}
-	// Run until the first byte (or close), then drain adaptively: as
-	// long as bytes keep arriving, keep granting drain windows — a
-	// fixed post-first-byte budget would truncate responses written in
-	// several segments. The whole exchange stays bounded by
-	// requestBudget of guest ticks.
-	start := s.Machine.Clock()
-	budgetLeft := func() uint64 {
-		used := s.Machine.Clock() - start
-		if used >= requestBudget {
-			return 0
-		}
-		return requestBudget - used
-	}
-	s.Machine.RunUntil(func() bool {
-		return len(conn.ReadAllPeek()) > 0 || conn.Closed()
-	}, requestBudget)
-	got := len(conn.ReadAllPeek())
-	quiet := false // a full drain window passed with no new bytes
-	for !conn.Closed() {
-		left := budgetLeft()
-		if left == 0 {
-			break
-		}
-		window := uint64(drainWindow)
-		if window > left {
-			window = left
-		}
-		s.Machine.RunUntil(func() bool {
-			return len(conn.ReadAllPeek()) > got || conn.Closed()
-		}, window)
-		n := len(conn.ReadAllPeek())
-		if n == got && window == drainWindow {
-			quiet = true // a full quiet window: the response is done
-			break
-		}
-		got = n
-	}
-	resp := string(conn.ReadAll())
+	// The response is drained adaptively (loadgen.Drain): as long as
+	// bytes keep arriving the guest keeps getting drain windows, within
+	// requestBudget guest ticks for the whole exchange.
+	body, _, truncated := loadgen.Drain(s.Machine, conn, s.Machine.Clock(), requestBudget)
+	resp := string(body)
 	if resp == "" && conn.Closed() {
 		return "", ErrNoResponse
 	}
 	// Budget exhaustion is not completion: if the guest was still
 	// mid-response (connection open, never a quiet window), the body
 	// is partial — say so instead of passing it off as success.
-	if !conn.Closed() && !quiet && budgetLeft() == 0 {
+	if truncated {
 		return resp, fmt.Errorf("%w after %d ticks (%d bytes read)",
 			ErrTruncatedResponse, uint64(requestBudget), len(resp))
 	}
@@ -331,6 +293,3 @@ func (s *Session) SymbolAddr(name string) (uint64, error) {
 	}
 	return sym.Value, nil
 }
-
-// RunFor executes up to n guest instructions.
-func (s *Session) RunFor(n uint64) uint64 { return s.Machine.Run(n) }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestStartServerBootTimeout: a guest that never nudges must fail
@@ -360,5 +361,96 @@ buf: .space 16
 	}
 	if !errors.Is(sess.LastErr, ErrTruncatedResponse) {
 		t.Fatalf("LastErr = %v, want ErrTruncatedResponse", sess.LastErr)
+	}
+}
+
+// TestRequestReturnsWhenGuestParksWithConnectionOpen: a guest that
+// drips a response until less than one drain window of the request
+// budget is left, then blocks reading the still-open connection, must
+// not hang the request. The idle machine retires no instructions, so
+// the clock and the remaining budget never move; the drain treats the
+// idle machine as the end of the response (regression: requestOnce
+// looped forever here).
+func TestRequestReturnsWhenGuestParksWithConnectionOpen(t *testing.T) {
+	exe, err := Assemble("dripthenpark", `
+.text
+.global _start
+_start:
+	mov r0, 4
+	syscall
+	mov r8, r0
+	mov r0, 5
+	mov r1, r8
+	mov r2, 7575
+	syscall
+	mov r0, 15
+	mov r1, 0
+	syscall              ; nudge: init done
+	mov r0, 7
+	mov r1, r8
+	syscall
+	mov r9, r0
+	mov r0, 3
+	mov r1, r9
+	mov r2, =buf
+	mov r3, 16
+	syscall
+	mov r0, 13
+	syscall
+	mov r11, r0          ; clock at the request
+drip:                    ; one "." every ~36k ticks ...
+	mov r10, 0
+spin:
+	add r10, 1
+	cmp r10, 12000
+	jl spin
+	mov r0, 2
+	mov r1, r9
+	lea r2, dot
+	mov r3, 1
+	syscall
+	mov r0, 13
+	syscall
+	sub r0, r11
+	cmp r0, 4955000      ; ... until under 50k of the 5M budget is left
+	jl drip
+park:                    ; then block on a read the host never feeds
+	mov r0, 3
+	mov r1, r9
+	mov r2, =buf
+	mov r3, 16
+	syscall
+	jmp park
+.rodata
+dot: .ascii "."
+.bss
+buf: .space 16
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := StartServer(exe, nil, 7575)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		resp string
+		err  error
+	}
+	done := make(chan result, 1)
+	go func() {
+		resp, err := sess.Request("ping\n")
+		done <- result{resp, err}
+	}()
+	select {
+	case r := <-done:
+		if r.err != nil {
+			t.Fatalf("parked-guest request error = %v, want a complete response", r.err)
+		}
+		if len(r.resp) < 100 || strings.Trim(r.resp, ".") != "" {
+			t.Fatalf("response = %d bytes %q..., want the whole run of dots", len(r.resp), r.resp[:min(len(r.resp), 16)])
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("request never returned for a guest parked with the connection open")
 	}
 }
