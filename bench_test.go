@@ -504,10 +504,10 @@ func BenchmarkMicro_BuildWebServer(b *testing.B) {
 
 // BenchmarkSupervisorOverhead measures the request-path cost of the
 // attached closed-loop supervisor. "bare" is the baseline; "attached"
-// adds the tick watchdog firing every DefaultPollEvery ticks with
-// nothing to heal (the pure poll cost); "canaried" adds the
-// end-to-end health probe on its DefaultCanaryEvery cadence — the
-// full steady-state configuration.
+// adds the tick watchdog firing on the supervisor's fixed poll cadence
+// with nothing to heal (the pure poll cost); "canaried" adds the
+// end-to-end health probe on its fixed cadence — the full
+// steady-state configuration.
 func BenchmarkSupervisorOverhead(b *testing.B) {
 	run := func(b *testing.B, attach bool, canary bool) {
 		app, err := dynacut.BuildWebServer(dynacut.WebServerConfig{Name: "lighttpd", Port: 8080})
@@ -592,7 +592,7 @@ func BenchmarkFleetRollout(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			res, err := f.Rollout(func(r *dynacut.FleetReplica) (dynacut.RewriteStats, error) {
+			res, err := dynacut.NewRolloutController(f, nil).Run(func(r *dynacut.FleetReplica) (dynacut.RewriteStats, error) {
 				return r.Cust.DisableBlocks("webdav-write", blocks, dynacut.PolicyBlockEntry)
 			})
 			if err != nil {

@@ -54,13 +54,8 @@ func run(out string, puts int) error {
 		return err
 	}
 	sup := dynacut.NewSupervisor(sess.Machine, cust, dynacut.SupervisorConfig{
-		Canary: sess.Canary("GET /\n", "200"),
-		// A session request spans at least one 50k-tick drain window,
-		// so the storm window must cover several requests' worth of
-		// virtual time for their traps to count together.
-		StormWindow:    400_000,
-		StormThreshold: 4,
-		Observer:       o,
+		Canary:   sess.Canary("GET /\n", "200"),
+		Observer: o,
 	})
 	if err := sup.Attach(); err != nil {
 		return err
@@ -81,8 +76,9 @@ func run(out string, puts int) error {
 		if sess.LastErr != nil {
 			note = fmt.Sprintf("  (%v)", sess.LastErr)
 		}
-		fmt.Printf("PUT #%d -> %q  level=%d%s\n", i+1, resp, sup.Level(), note)
-		if sup.Level() >= 2 {
+		level := sup.Status().Level
+		fmt.Printf("PUT #%d -> %q  level=%d%s\n", i+1, resp, level, note)
+		if level >= 2 {
 			break
 		}
 	}

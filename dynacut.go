@@ -149,10 +149,10 @@ type (
 	// FleetReplica is one cloned guest plus its customizer.
 	FleetReplica = fleet.Replica
 
-	// RolloutController is the crash-resumable rollout engine behind
-	// Fleet.Rollout: worker lanes lease per-replica steps off a work
-	// queue under virtual-clock deadlines, and every scheduling
-	// decision is journaled so a dead controller can be resumed.
+	// RolloutController is the crash-resumable rollout engine of a
+	// fleet: worker lanes lease per-replica steps off a work queue
+	// under virtual-clock deadlines, and every scheduling decision is
+	// journaled so a dead controller can be resumed.
 	RolloutController = fleet.Controller
 	// StepEvent is one scheduling event streamed through
 	// FleetConfig.OnStep (lease, expire, requeue, outcome, ...).
@@ -301,8 +301,8 @@ func NewFleetFromSession(s *Session, cfg FleetConfig) (*Fleet, error) {
 }
 
 // NewRolloutController builds a crash-resumable rollout controller
-// over the fleet. A nil journal starts a fresh log; Fleet.Rollout is
-// shorthand for NewRolloutController(f, nil).Run(apply).
+// over the fleet. A nil journal starts a fresh log;
+// NewRolloutController(f, nil).Run(apply) runs a staged rollout.
 func NewRolloutController(f *Fleet, j *RolloutJournal) *RolloutController {
 	return fleet.NewController(f, j)
 }
@@ -425,9 +425,6 @@ func RazorDebloat(exe *Binary, traces *Graph) (*DebloatResult, error) {
 func ChiselDebloat(exe *Binary, traces *Graph) (*DebloatResult, error) {
 	return baseline.Chisel(exe, traces)
 }
-
-// GraphFromLog builds a coverage graph from one log.
-func GraphFromLog(l *CoverageLog) *Graph { return coverage.FromLog(l) }
 
 // NewLoadMix builds a deterministic weighted request mix.
 func NewLoadMix(reqs ...LoadRequest) *LoadMix { return loadgen.NewMix(reqs...) }

@@ -127,3 +127,126 @@ func markSelectorUses(f *ast.File, used map[string]bool) {
 		return true
 	})
 }
+
+// TestOptionFieldsHaveCallers guards the option rule: every field of
+// the facade's option structs is set, by a composite-literal key or an
+// assignment, in some non-test file of the module or of perfbench. A
+// knob that only tests set belongs in a constant. Fields are matched
+// by name alone.
+func TestOptionFieldsHaveCallers(t *testing.T) {
+	options := []string{"CustomizerOptions", "SupervisorConfig", "FleetConfig", "SLOConfig", "DumpOpts"}
+	fset := token.NewFileSet()
+	facade, err := parser.ParseFile(fset, "dynacut.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each option name is an alias of an internal struct: resolve it to
+	// the package directory and type name.
+	imports := map[string]string{}
+	for _, imp := range facade.Imports {
+		path, _ := strconv.Unquote(imp.Path.Value)
+		name := filepath.Base(path)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = strings.TrimPrefix(path, "github.com/dynacut/dynacut/")
+	}
+	target := map[string]*ast.SelectorExpr{}
+	ast.Inspect(facade, func(n ast.Node) bool {
+		if s, ok := n.(*ast.TypeSpec); ok {
+			if sel, ok := s.Type.(*ast.SelectorExpr); ok {
+				target[s.Name.Name] = sel
+			}
+		}
+		return true
+	})
+
+	set := map[string]bool{}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CompositeLit:
+				for _, e := range n.Elts {
+					if kv, ok := e.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							set[id.Name] = true
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if sel, ok := lhs.(*ast.SelectorExpr); ok {
+						set[sel.Sel.Name] = true
+					}
+				}
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, name := range options {
+		sel, ok := target[name]
+		if !ok {
+			t.Fatalf("dynacut.go has no alias %s", name)
+		}
+		pkg := sel.X.(*ast.Ident).Name
+		fields := structFields(t, fset, imports[pkg], sel.Sel.Name)
+		if len(fields) == 0 {
+			t.Fatalf("%s (%s.%s) has no fields", name, pkg, sel.Sel.Name)
+		}
+		for _, field := range fields {
+			if !set[field] {
+				t.Errorf("%s.%s is set by no non-test file: make it a constant", name, field)
+			}
+		}
+	}
+}
+
+// structFields returns the field names of the struct type typ declared
+// in the non-test files of dir.
+func structFields(t *testing.T, fset *token.FileSet, dir, typ string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var fields []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			s, ok := n.(*ast.TypeSpec)
+			if !ok || s.Name.Name != typ {
+				return true
+			}
+			if st, ok := s.Type.(*ast.StructType); ok {
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						fields = append(fields, id.Name)
+					}
+				}
+			}
+			return false
+		})
+	}
+	return fields
+}

@@ -109,8 +109,6 @@ func (r *AttestReport) Foreign() int {
 type RepairStats struct {
 	// Repaired is how many pages were re-patched in place.
 	Repaired int
-	// Skipped counts foreign mismatches left alone (foreign=false).
-	Skipped int
 	// Rounds is how many scheduler rounds the quiesce loop ran. Repair
 	// never kills or restores a process: downtime is zero by the same
 	// construction as the live-patch fast path.
@@ -422,29 +420,16 @@ func (c *Customizer) Attest() (*AttestReport, error) {
 // live-patch fast path, write, verify the digest, commit. The guest is
 // never killed or restored — zero downtime — and any failure unwinds
 // every byte already written, same discipline as DisableBlocksLive.
-// Foreign pages are repaired only when foreign is true (the supervisor
-// scrub rung and the fleet repair ladder pass true; a cautious caller
-// can restrict itself to known-prior-version pages).
+// Foreign pages (unknown bytes) are repaired like repairable ones: the
+// expected content does not depend on what the divergence wrote.
 //
 // Repair is all-or-nothing: on error no page keeps repaired bytes.
-func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error) {
+func (c *Customizer) Repair(rep *AttestReport) (RepairStats, error) {
 	var rs RepairStats
 	if rep == nil || len(rep.Mismatches) == 0 {
 		return rs, nil
 	}
 	end := c.span("attest.repair", 0)
-	var fix []PageMismatch
-	for _, mm := range rep.Mismatches {
-		if mm.Verdict == PageForeign && !foreign {
-			rs.Skipped++
-			continue
-		}
-		fix = append(fix, mm)
-	}
-	if len(fix) == 0 {
-		end(nil)
-		return rs, nil
-	}
 
 	targets := c.liveTargets()
 	if len(targets) == 0 {
@@ -461,9 +446,9 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 	// the page is rewritten with identical values), so those runs — not
 	// the whole page — are what the quiesce must clear. A whole-page
 	// span would deadlock on any guest idling elsewhere in the page.
-	blobs := make([][]byte, len(fix))
+	blobs := make([][]byte, len(rep.Mismatches))
 	var spans []blockSpan
-	for i, mm := range fix {
+	for i, mm := range rep.Mismatches {
 		p := byPID[mm.PID]
 		if p == nil || p.Exited() {
 			err := fmt.Errorf("core: repair target pid %d gone", mm.PID)
@@ -520,7 +505,7 @@ func (c *Customizer) Repair(rep *AttestReport, foreign bool) (RepairStats, error
 		end(err)
 		return rs, err
 	}
-	for i, mm := range fix {
+	for i, mm := range rep.Mismatches {
 		p := byPID[mm.PID]
 		if p == nil || p.Exited() {
 			return fail(fmt.Errorf("core: repair target pid %d gone", mm.PID))

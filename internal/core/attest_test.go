@@ -89,13 +89,8 @@ func TestAttestDetectsForeignBitflipAndRepairs(t *testing.T) {
 		t.Fatalf("mismatch page %#x, want %#x", rep.Mismatches[0].Page, target/kernel.PageSize)
 	}
 
-	// foreign=false leaves it alone.
-	rs, err := c.Repair(rep, false)
-	if err != nil || rs.Repaired != 0 || rs.Skipped != 1 {
-		t.Fatalf("conservative repair: %+v, %v", rs, err)
-	}
-	// foreign=true heals it in place.
-	rs, err = c.Repair(rep, true)
+	// Repair heals it in place.
+	rs, err := c.Repair(rep)
 	if err != nil {
 		t.Fatalf("repair: %v", err)
 	}
@@ -148,8 +143,8 @@ func TestAttestClassifiesPriorVersionRepairable(t *testing.T) {
 			t.Fatalf("mismatch %+v classified %v, want repairable", mm.Page, mm.Verdict)
 		}
 	}
-	// Repairable pages heal without the foreign escalation.
-	rs, err := c.Repair(rep, false)
+	// Repairable pages heal like foreign ones.
+	rs, err := c.Repair(rep)
 	if err != nil || rs.Repaired != len(rep.Mismatches) {
 		t.Fatalf("repair: %+v, %v", rs, err)
 	}
@@ -183,7 +178,7 @@ func TestAttestInjectedBitflipSiteIsSilent(t *testing.T) {
 	if rep.Clean() {
 		t.Fatal("injected bitflip not detected by the sweep")
 	}
-	if _, err := c.Repair(rep, true); err != nil {
+	if _, err := c.Repair(rep); err != nil {
 		t.Fatalf("repair: %v", err)
 	}
 	rep2, err := c.Attest()
@@ -211,7 +206,7 @@ func TestRepairFaultUnwindsAndRetries(t *testing.T) {
 	if err != nil || rep.Clean() {
 		t.Fatalf("attest: %v clean=%v", err, rep.Clean())
 	}
-	rs, err := c.Repair(rep, true)
+	rs, err := c.Repair(rep)
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("repair error = %v, want injected", err)
 	}
@@ -219,7 +214,7 @@ func TestRepairFaultUnwindsAndRetries(t *testing.T) {
 		t.Fatalf("failed repair reported %d repaired pages", rs.Repaired)
 	}
 	// The fault is spent; the retry heals.
-	if _, err := c.Repair(rep, true); err != nil {
+	if _, err := c.Repair(rep); err != nil {
 		t.Fatalf("retry repair: %v", err)
 	}
 	rep2, err := c.Attest()
@@ -257,7 +252,7 @@ func TestRepairSurvivesRottenExpectedBlob(t *testing.T) {
 	if err != nil || rep.Clean() {
 		t.Fatalf("attest: %v clean=%v", err, rep.Clean())
 	}
-	rs, err := c.Repair(rep, true)
+	rs, err := c.Repair(rep)
 	if err != nil {
 		t.Fatalf("repair through rotten expected blob: %v", err)
 	}
@@ -288,7 +283,7 @@ func TestAttestObserverSpans(t *testing.T) {
 	if err != nil || rep.Clean() {
 		t.Fatalf("attest: %v clean=%v", err, rep.Clean())
 	}
-	if _, err := c.Repair(rep, true); err != nil {
+	if _, err := c.Repair(rep); err != nil {
 		t.Fatal(err)
 	}
 	want := map[string]bool{"attest": false, "attest.mismatch": false, "attest.repair": false, "attest.repair.page": false}

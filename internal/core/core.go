@@ -169,17 +169,6 @@ func (s Stats) Total() time.Duration {
 	return s.Checkpoint + s.CodeUpdate + s.InsertHandler + s.Restore + s.HealthCheck
 }
 
-// Interruption returns the service-interruption window: the time the
-// guest was not available, i.e. the measured kill-to-restored Downtime.
-// Checkpoint, image editing and validation all run while the original
-// guest is still serving (criu.Dump leaves it running), so they do not
-// count; neither does the health probe, which runs against the
-// already-restored, already-serving guest (its guest-side cost lands
-// on the virtual clock as executed instructions).
-func (s Stats) Interruption() time.Duration {
-	return s.Downtime
-}
-
 // Customizer errors.
 var (
 	ErrNotDisabled = errors.New("core: feature not currently disabled")
@@ -659,7 +648,7 @@ func (c *Customizer) charge(stats Stats) {
 	if c.opts.TicksPerSecond == 0 {
 		return
 	}
-	exact := stats.Interruption().Seconds()*float64(c.opts.TicksPerSecond) + c.tickCarry
+	exact := stats.Downtime.Seconds()*float64(c.opts.TicksPerSecond) + c.tickCarry
 	ticks := math.Floor(exact + 0.5)
 	c.tickCarry = exact - ticks
 	if max := c.opts.MaxChargeTicks; max > 0 && ticks > float64(max) {

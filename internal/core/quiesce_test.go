@@ -105,14 +105,14 @@ func TestRepairFaultAtKthWriteLeavesTextIdentical(t *testing.T) {
 		in := faultinject.New(int64(k))
 		in.FailAt(faultinject.SiteAttestRepair, k)
 		tb.m.SetFaultHook(in)
-		rs, err := c.Repair(rep, true)
+		rs, err := c.Repair(rep)
 		tb.m.SetFaultHook(nil)
 		if !errors.Is(err, faultinject.ErrInjected) || rs.Repaired != 0 {
 			t.Fatalf("k=%d: repair = %+v, %v; want an injected all-or-nothing failure", k, rs, err)
 		}
 		assertTextIdentical(t, c, before, "repair")
 	}
-	if _, err := c.Repair(rep, true); err != nil {
+	if _, err := c.Repair(rep); err != nil {
 		t.Fatalf("un-faulted repair: %v", err)
 	}
 	if rep2, err := c.Attest(); err != nil || !rep2.Clean() {
@@ -165,7 +165,7 @@ func TestRepairAndLivePatchShareQuiesceRule(t *testing.T) {
 	if err != nil || len(rep.Mismatches) != 1 {
 		t.Fatalf("attest: %v, %d mismatches", err, len(rep.Mismatches))
 	}
-	rs, err := c.Repair(rep, true)
+	rs, err := c.Repair(rep)
 	if err == nil || !strings.Contains(err.Error(), "guest parked") || rs.Rounds != 1 || rs.Repaired != 0 {
 		t.Fatalf("repair under the planted frame: %+v, %v; want parked after 1 round", rs, err)
 	}

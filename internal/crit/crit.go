@@ -2,10 +2,10 @@
 // analogue of the paper's extended CRIT (CRiu Image Tool). It edits
 // frozen checkpoint images — never a live process — providing
 // byte-level memory updates (INT3 placement, block wiping, restore),
-// VMA growth/unmap, position-independent shared-library injection
+// VMA addition/unmap, position-independent shared-library injection
 // with GOT/data relocation against the in-image libc, and signal
 // handler (sigaction) updates in the core image. It also decodes
-// images to JSON and back, like `crit decode/encode`.
+// images to JSON, like `crit decode`.
 package crit
 
 import (
@@ -191,42 +191,6 @@ func (e *Editor) UnmapRange(pid int, start, end uint64) error {
 	}
 	pi.MM.VMAs = out
 	pi.DropPages(start/kernel.PageSize, end/kernel.PageSize)
-	return nil
-}
-
-// GrowVMA extends the VMA starting at start to newEnd (page aligned),
-// the "enlarge the VMAs" primitive of the paper's CRIT extension —
-// e.g. growing a stack or data region before injecting content.
-func (e *Editor) GrowVMA(pid int, start, newEnd uint64) error {
-	if newEnd%kernel.PageSize != 0 {
-		return fmt.Errorf("%w: new end %#x", ErrAlignment, newEnd)
-	}
-	pi, err := e.proc(pid)
-	if err != nil {
-		return err
-	}
-	idx := -1
-	for i, v := range pi.MM.VMAs {
-		if v.Start == start {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return fmt.Errorf("%w: no VMA starting at %#x", ErrNotMapped, start)
-	}
-	if newEnd <= pi.MM.VMAs[idx].End {
-		return fmt.Errorf("crit: new end %#x does not grow VMA %s", newEnd, pi.MM.VMAs[idx].Name)
-	}
-	for i, v := range pi.MM.VMAs {
-		if i == idx {
-			continue
-		}
-		if v.Start < newEnd && pi.MM.VMAs[idx].End <= v.Start {
-			return fmt.Errorf("crit: growth to %#x collides with %s", newEnd, v.Name)
-		}
-	}
-	pi.MM.VMAs[idx].End = newEnd
 	return nil
 }
 
@@ -527,20 +491,6 @@ func (e *Editor) CoreJSON(pid int) ([]byte, error) {
 	return json.MarshalIndent(&pi.Core, "", "  ")
 }
 
-// SetCoreJSON replaces the core image from JSON.
-func (e *Editor) SetCoreJSON(pid int, data []byte) error {
-	pi, err := e.proc(pid)
-	if err != nil {
-		return err
-	}
-	var c criu.CoreImage
-	if err := json.Unmarshal(data, &c); err != nil {
-		return fmt.Errorf("crit: core json: %w", err)
-	}
-	pi.Core = c
-	return nil
-}
-
 // MMJSON renders the mm image as JSON.
 func (e *Editor) MMJSON(pid int) ([]byte, error) {
 	pi, err := e.proc(pid)
@@ -548,18 +498,4 @@ func (e *Editor) MMJSON(pid int) ([]byte, error) {
 		return nil, err
 	}
 	return json.MarshalIndent(&pi.MM, "", "  ")
-}
-
-// SetMMJSON replaces the mm image from JSON.
-func (e *Editor) SetMMJSON(pid int, data []byte) error {
-	pi, err := e.proc(pid)
-	if err != nil {
-		return err
-	}
-	var mm criu.MMImage
-	if err := json.Unmarshal(data, &mm); err != nil {
-		return fmt.Errorf("crit: mm json: %w", err)
-	}
-	pi.MM = mm
-	return nil
 }

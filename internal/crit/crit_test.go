@@ -3,6 +3,7 @@ package crit
 import (
 	"encoding/json"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -445,9 +446,12 @@ func leU64(b []byte) uint64 {
 	return v
 }
 
+// TestJSONRoundTrip: the core and mm JSON renderings decode back to
+// the images they were rendered from.
 func TestJSONRoundTrip(t *testing.T) {
 	w := setup(t)
 	pid := w.p.PID()
+	pi, _ := w.set.Proc(pid)
 	coreJSON, err := w.ed.CoreJSON(pid)
 	if err != nil {
 		t.Fatal(err)
@@ -456,17 +460,8 @@ func TestJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(coreJSON, &c); err != nil {
 		t.Fatal(err)
 	}
-	c.Regs[5] = 0x1234
-	edited, err := json.Marshal(&c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.ed.SetCoreJSON(pid, edited); err != nil {
-		t.Fatal(err)
-	}
-	pi, _ := w.set.Proc(pid)
-	if pi.Core.Regs[5] != 0x1234 {
-		t.Error("core JSON edit not applied")
+	if !reflect.DeepEqual(c, pi.Core) {
+		t.Error("core JSON does not decode to the core image")
 	}
 	mmJSON, err := w.ed.MMJSON(pid)
 	if err != nil {
@@ -475,14 +470,15 @@ func TestJSONRoundTrip(t *testing.T) {
 	if !strings.Contains(string(mmJSON), "[stack]") {
 		t.Error("mm JSON missing stack VMA")
 	}
-	if err := w.ed.SetMMJSON(pid, mmJSON); err != nil {
+	var mm criu.MMImage
+	if err := json.Unmarshal(mmJSON, &mm); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.ed.SetCoreJSON(pid, []byte("{bad")); err == nil {
-		t.Error("bad core JSON accepted")
+	if !reflect.DeepEqual(mm, pi.MM) {
+		t.Error("mm JSON does not decode to the mm image")
 	}
-	if err := w.ed.SetMMJSON(pid, []byte("nope")); err == nil {
-		t.Error("bad mm JSON accepted")
+	if _, err := w.ed.CoreJSON(999); err == nil {
+		t.Error("CoreJSON on a missing pid succeeded")
 	}
 }
 

@@ -24,10 +24,7 @@ import (
 func TestPageStoreCorruptMutatedShard(t *testing.T) {
 	m, p := loadCounter(t)
 	store := NewPageStore()
-	set, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := dumpInto(t, store, m, p.PID(), DumpOpts{ExecPages: true})
 	ident := set.Ident()
 
 	// Rot one blob directly in the page map.
@@ -43,7 +40,7 @@ func TestPageStoreCorruptMutatedShard(t *testing.T) {
 		t.Fatal("store held no blobs to rot")
 	}
 
-	_, err = store.Materialize(ident)
+	_, err := store.Materialize(ident)
 	if !errors.Is(err, ErrStoreCorrupt) {
 		t.Fatalf("Materialize over a rotted blob: %v, want ErrStoreCorrupt", err)
 	}
@@ -61,10 +58,7 @@ func TestPageStoreCorruptMutatedShard(t *testing.T) {
 func TestPageStoreCorruptRotFaultSite(t *testing.T) {
 	m, p := loadCounter(t)
 	store := NewPageStore()
-	set, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := dumpInto(t, store, m, p.PID(), DumpOpts{ExecPages: true})
 	ident := set.Ident()
 
 	// Clean read first: the deposited set materializes byte-identically.

@@ -13,13 +13,10 @@ func TestPageStoreDepositMaterializeRoundTrip(t *testing.T) {
 	m, p := loadCounter(t)
 	store := NewPageStore()
 
-	set, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	set := dumpInto(t, store, m, p.PID(), DumpOpts{ExecPages: true})
 	ident := set.Ident()
 	if !store.Contains(ident) {
-		t.Fatal("dump with Store did not deposit the set")
+		t.Fatal("Deposit did not store the set")
 	}
 
 	got, err := store.Materialize(ident)
@@ -61,10 +58,7 @@ func TestPageStoreDeltaChainRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.Run(500)
-	delta, err := Dump(m, p.PID(), DumpOpts{ExecPages: true, Parent: full, Store: store})
-	if err != nil {
-		t.Fatal(err)
-	}
+	delta := dumpInto(t, store, m, p.PID(), DumpOpts{ExecPages: true, Parent: full})
 	if !delta.Delta() {
 		t.Fatal("expected a delta dump")
 	}
@@ -153,9 +147,7 @@ func TestPageStoreDedupSubLinearGrowth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := Dump(rm, rp.PID(), DumpOpts{ExecPages: true, Store: store}); err != nil {
-			t.Fatal(err)
-		}
+		dumpInto(t, store, rm, rp.PID(), DumpOpts{ExecPages: true})
 		if i == 0 {
 			oneGuest = store.Stats().StoredBytes
 		}
@@ -263,4 +255,17 @@ func TestPageStoreConcurrentDepositMaterialize(t *testing.T) {
 	if st.Sets != nsets {
 		t.Fatalf("store holds %d sets, deposited %d", st.Sets, nsets)
 	}
+}
+
+// dumpInto checkpoints pid and deposits the set into store.
+func dumpInto(t *testing.T, store *PageStore, m *kernel.Machine, pid int, opts DumpOpts) *ImageSet {
+	t.Helper()
+	set, err := Dump(m, pid, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Deposit(set); err != nil {
+		t.Fatal(err)
+	}
+	return set
 }

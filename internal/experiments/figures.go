@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"github.com/dynacut/dynacut"
+	"github.com/dynacut/dynacut/internal/coverage"
 	"github.com/dynacut/dynacut/internal/loadgen"
 )
 
@@ -63,14 +64,14 @@ func livenessSpec(name string) (*Liveness, error) {
 	var initG, fullG *dynacut.Graph
 	m.SetNudgeFunc(func(pid int, arg uint64) {
 		if initG == nil {
-			initG = dynacut.GraphFromLog(col.Snapshot(p.Modules(), "init"))
+			initG = coverage.FromLog(col.Snapshot(p.Modules(), "init"))
 		}
 	})
 	m.Run(200_000_000)
 	if !p.Exited() {
 		return nil, fmt.Errorf("experiments: %s did not finish", name)
 	}
-	fullG = dynacut.GraphFromLog(col.Snapshot(p.Modules(), "full"))
+	fullG = coverage.FromLog(col.Snapshot(p.Modules(), "full"))
 	if initG == nil {
 		initG = fullG
 	}
@@ -358,7 +359,7 @@ func specPhase(prof dynacut.SpecProfile) (*dynacut.Machine, *dynacut.SpecApp, *d
 	var initG *dynacut.Graph
 	m.SetNudgeFunc(func(pid int, arg uint64) {
 		if initG == nil {
-			initG = dynacut.GraphFromLog(col.SnapshotAndReset(p.Modules(), "init"))
+			initG = coverage.FromLog(col.SnapshotAndReset(p.Modules(), "init"))
 		}
 	})
 	if !m.RunUntil(func() bool { return initG != nil }, 500_000_000) {
@@ -368,7 +369,7 @@ func specPhase(prof dynacut.SpecProfile) (*dynacut.Machine, *dynacut.SpecApp, *d
 	// function is covered while the guest is still far from exiting.
 	passCost := uint64(prof.ExecFuncs-prof.InitFuncs)*20 + 1000
 	m.Run(2 * passCost)
-	servingG := dynacut.GraphFromLog(col.Snapshot(p.Modules(), "serving"))
+	servingG := coverage.FromLog(col.Snapshot(p.Modules(), "serving"))
 	return m, app, p, initG, servingG, nil
 }
 

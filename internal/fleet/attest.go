@@ -24,9 +24,9 @@ import (
 // every replica is attested-correct or journaled-quarantined; none is
 // silently wrong.
 
-// defaultRepairBudget bounds in-place repair attempts per replica per
-// sweep before the sweep quarantines the replica.
-const defaultRepairBudget = 3
+// repairBudget bounds in-place repair attempts per replica per sweep
+// before the sweep quarantines the replica.
+const repairBudget = 3
 
 // ReplicaAttest is one replica's result in one attestation sweep.
 type ReplicaAttest struct {
@@ -199,13 +199,9 @@ func (c *Controller) sweepReplica(r *Replica, want, got [sha256.Size]byte, collE
 	}
 
 	foreign := rep.Foreign() > 0
-	budget := f.cfg.RepairBudget
-	if budget <= 0 {
-		budget = defaultRepairBudget
-	}
-	for try := 1; try <= budget; try++ {
+	for try := 1; try <= repairBudget; try++ {
 		ra.Tries = try
-		rs, rerr := r.Cust.Repair(rep, true)
+		rs, rerr := r.Cust.Repair(rep)
 		if !c.append(Record{Kind: RecRepair, Replica: int32(r.Index), Wave: int32(wave),
 			Attempt: int32(try), Ticks: uint64(rs.Repaired), VClock: now}) {
 			return ra
@@ -283,7 +279,7 @@ func (c *Controller) readmitQuarantined() {
 			continue // stays quarantined
 		}
 		if !rep.Clean() {
-			if _, rerr := r.Cust.Repair(rep, true); rerr != nil {
+			if _, rerr := r.Cust.Repair(rep); rerr != nil {
 				continue
 			}
 			rep2, aerr := r.Cust.Attest()

@@ -202,11 +202,10 @@ func TestFleetScrubSkewIsAdvisory(t *testing.T) {
 func TestFleetScrubRepairSuccessClearsErrKeepsHistory(t *testing.T) {
 	tpl := bootLiveTemplate(t)
 	inj := faultinject.New(3)
-	inj.FailTransient(faultinject.SiteAttestRepair, 1, 2) // tries 1 and 2 fail, 3 heals
+	inj.FailTransient(faultinject.SiteAttestRepair, 1, repairBudget-1) // every try but the last fails
 	cfg := liveConfig(tpl, 1, 1, 1, 1)
 	cfg.Scrub = true
 	cfg.FaultHook = inj
-	cfg.RepairBudget = 3
 	f, err := New(tpl.m, tpl.pid, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -228,8 +227,9 @@ func TestFleetScrubRepairSuccessClearsErrKeepsHistory(t *testing.T) {
 	if ra.Err != nil {
 		t.Fatalf("repair succeeded on try %d but Err = %v (stale failure state)", ra.Tries, ra.Err)
 	}
-	if ra.Tries != 3 || len(ra.RepairErrs) != 2 {
-		t.Fatalf("tries = %d, repair history = %d errors, want 3 tries / 2 errors", ra.Tries, len(ra.RepairErrs))
+	if ra.Tries != repairBudget || len(ra.RepairErrs) != repairBudget-1 {
+		t.Fatalf("tries = %d, repair history = %d errors, want %d tries / %d errors",
+			ra.Tries, len(ra.RepairErrs), repairBudget, repairBudget-1)
 	}
 	if ra.Verdict != VerdictForeign || ra.Repaired == 0 {
 		t.Fatalf("verdict %v repaired %d, want foreign repair", ra.Verdict, ra.Repaired)
@@ -238,8 +238,8 @@ func TestFleetScrubRepairSuccessClearsErrKeepsHistory(t *testing.T) {
 		t.Fatal("healed replica left quarantined")
 	}
 	kinds := recKinds(ctl.Journal().Records())
-	if kinds[RecRepair] != 3 || kinds[RecQuarantine] != 0 {
-		t.Fatalf("journal kinds %v, want 3 repairs and no quarantine", kinds)
+	if kinds[RecRepair] != repairBudget || kinds[RecQuarantine] != 0 {
+		t.Fatalf("journal kinds %v, want %d repairs and no quarantine", kinds, repairBudget)
 	}
 }
 
@@ -256,7 +256,6 @@ func TestFleetScrubQuarantineAndResumeReadmit(t *testing.T) {
 	cfg := liveConfig(tpl, 4, 2, 1, 3)
 	cfg.Scrub = true
 	cfg.FaultHook = inj
-	cfg.RepairBudget = 2
 	f, err := New(tpl.m, tpl.pid, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -290,8 +289,8 @@ func TestFleetScrubQuarantineAndResumeReadmit(t *testing.T) {
 		for _, ra := range sw.Replicas {
 			if ra.Index == victim && ra.Err != nil {
 				quarantineErrs = append(quarantineErrs, ra.Err)
-				if len(ra.RepairErrs) != 2 {
-					t.Errorf("repair history = %d errors, want the full budget of 2", len(ra.RepairErrs))
+				if len(ra.RepairErrs) != repairBudget {
+					t.Errorf("repair history = %d errors, want the full budget of %d", len(ra.RepairErrs), repairBudget)
 				}
 			}
 		}

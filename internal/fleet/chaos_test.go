@@ -58,7 +58,7 @@ func TestFleetChaosWaveFaults(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := f.Rollout(disableWebdav(tpl))
+			res, err := NewController(f, nil).Run(disableWebdav(tpl))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestFleetChaosRollbackFaults(t *testing.T) {
 			// forcing the committed sibling through the faulted
 			// rollback path.
 			victim := 2
-			res, err := f.Rollout(func(r *Replica) (core.Stats, error) {
+			res, err := NewController(f, nil).Run(func(r *Replica) (core.Stats, error) {
 				if r.Index == victim {
 					return core.Stats{}, fmt.Errorf("injected payload failure on replica %d", r.Index)
 				}
@@ -136,7 +136,7 @@ func TestFleetPristineRotKeepsReplicaServing(t *testing.T) {
 	// replica 1's pristine images: the rot is persistent, so all
 	// rollbackTries tries see it.
 	inj.FailOnce(faultinject.SiteStoreRot)
-	res, err := f.Rollout(func(r *Replica) (core.Stats, error) {
+	res, err := NewController(f, nil).Run(func(r *Replica) (core.Stats, error) {
 		if r.Index == 2 {
 			return core.Stats{}, fmt.Errorf("payload failure on replica %d", r.Index)
 		}

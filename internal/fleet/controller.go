@@ -13,9 +13,9 @@ import (
 // Controller is the event-driven rollout engine: a work queue of
 // per-replica rollout steps, worker lanes that lease steps against a
 // virtual-clock deadline, and an append-only CRC-checked journal of
-// every intent and outcome. Fleet.Rollout is a thin wrapper that runs
-// a fresh controller; ResumeController rebuilds one from a dead
-// controller's journal and finishes the rollout without re-rewriting
+// every intent and outcome. NewController(f, nil).Run runs a rollout
+// from a fresh journal; ResumeController rebuilds a controller from a
+// dead one's journal and finishes the rollout without re-rewriting
 // replicas the journal proves committed.
 //
 // Scheduling is deterministic by construction. Each dispatch round

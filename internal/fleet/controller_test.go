@@ -98,7 +98,7 @@ func TestRestorePristineRetryClearsErr(t *testing.T) {
 	// Canary commits; in wave 1 replica 1 commits and replica 2 fails,
 	// halting the wave and forcing replica 1 through the faulted
 	// restore path: try 1 is injected to fail, try 2 succeeds.
-	res, err := f.Rollout(func(r *Replica) (core.Stats, error) {
+	res, err := NewController(f, nil).Run(func(r *Replica) (core.Stats, error) {
 		if r.Index == 2 {
 			return core.Stats{}, fmt.Errorf("payload failure on replica %d", r.Index)
 		}
@@ -135,7 +135,7 @@ func TestMidWaveHaltAbortsInFlight(t *testing.T) {
 		t.Fatal(err)
 	}
 	halted := make(chan struct{})
-	res, err := f.Rollout(func(r *Replica) (core.Stats, error) {
+	res, err := NewController(f, nil).Run(func(r *Replica) (core.Stats, error) {
 		switch r.Index {
 		case 1:
 			// First wave-1 worker: pull the brake mid-wave, then try to

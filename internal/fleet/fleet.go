@@ -84,13 +84,10 @@ type Config struct {
 	// Scrub enables the anti-entropy attestation sweep after every
 	// wave: each active replica's live text root is collected and
 	// compared against its expected-state oracle, diverged pages are
-	// repaired in place, and replicas that exhaust RepairBudget are
+	// repaired in place, and replicas that exhaust repairBudget are
 	// quarantined (drained from later waves, journaled, re-attested on
 	// resume before readmission).
 	Scrub bool
-	// RepairBudget bounds in-place repair attempts per replica per
-	// sweep before quarantine (0 = 3).
-	RepairBudget int
 }
 
 // LivePatchSpec names the block set a live-patch rollout applies, so
@@ -456,37 +453,6 @@ func (f *Fleet) waves() [][]int {
 		out = append(out, idx[lo:hi])
 	}
 	return out
-}
-
-// Rollout applies one rewrite across the fleet as a staged rollout:
-// the canary wave first, then the remaining replicas in waves, each
-// wave's steps leased to concurrent worker lanes by the rollout
-// controller. A wave with any failed replica halts the rollout: the failed wave's
-// committed replicas are restored to their pristine checkpoints from
-// the shared store, in-flight rewrites abort at the pre-commit gate,
-// and later waves never start. Replicas whose own rollback failed are
-// restored from the store even when the rollout is not halting — the
-// fleet's second-chance recovery. apply runs once per leased attempt
-// per replica and must touch only that replica's state.
-//
-// Rollout is sugar for NewController(f, nil).Run(apply): every
-// rollout is journaled, and on an injected controller crash the
-// returned error is ErrControllerCrashed. Use NewController directly
-// to keep the journal for ResumeController.
-func (f *Fleet) Rollout(apply func(r *Replica) (core.Stats, error)) (*RolloutResult, error) {
-	return NewController(f, nil).Run(apply)
-}
-
-// ResumeRollout finishes a rollout whose controller died, from its
-// journal bytes: committed replicas are skipped, torn journal windows
-// are re-verified against the live replicas, and an interrupted halt
-// protocol is completed. Sugar for ResumeController + Run.
-func (f *Fleet) ResumeRollout(journal []byte, apply func(r *Replica) (core.Stats, error)) (*RolloutResult, error) {
-	c, err := ResumeController(f, journal)
-	if err != nil {
-		return nil, err
-	}
-	return c.Run(apply)
 }
 
 // restorePristine rebuilds a replica from its pristine checkpoint in

@@ -146,7 +146,7 @@ func TestFleetRolloutCommitsAllReplicas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Rollout(disableWebdav(tpl))
+	res, err := NewController(f, nil).Run(disableWebdav(tpl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestFleetCanaryFailureHaltsRollout(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Rollout(disableWebdav(tpl))
+	res, err := NewController(f, nil).Run(disableWebdav(tpl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,7 +232,7 @@ func TestFleetCanaryFailureHaltsRollout(t *testing.T) {
 	// Resume lifts the halt; the same fleet then rolls out cleanly.
 	failCanary = false
 	f.Resume()
-	res2, err := f.Rollout(disableWebdav(tpl))
+	res2, err := NewController(f, nil).Run(disableWebdav(tpl))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +260,7 @@ func TestFleetWaveFailureRestoresCommitted(t *testing.T) {
 		}
 		return r.Cust.DisableBlocks("webdav-write", tpl.blocks, core.PolicyBlockEntry)
 	}
-	res, err := f.Rollout(apply)
+	res, err := NewController(f, nil).Run(apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestFleetRolloutPooledSpeedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := f.Rollout(disableWebdav(tpl))
+	res, err := NewController(f, nil).Run(disableWebdav(tpl))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -186,7 +186,11 @@ func TestFleetLivePatchTornAppendResume(t *testing.T) {
 		t.Fatalf("torn append: err = %v, want ErrControllerCrashed", err)
 	}
 
-	res2, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+	rc, err := ResumeController(f, c.Journal().Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := rc.Run(apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,7 +242,10 @@ func TestFleetLivePatchTornTextRefusesResume(t *testing.T) {
 		}
 	}
 
-	_, err = f.ResumeRollout(j.Bytes(), countingApplyLive(tpl, make([]atomic.Int32, 2)))
+	rc, err := ResumeController(f, j.Bytes())
+	if err == nil {
+		_, err = rc.Run(countingApplyLive(tpl, make([]atomic.Int32, 2)))
+	}
 	if err == nil {
 		t.Fatal("resume classified a half-patched replica")
 	}
@@ -284,7 +291,11 @@ func TestFleetChaosControllerCrashLivePatch(t *testing.T) {
 				t.Fatal("no fault fired")
 			}
 
-			res2, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+			rc, err := ResumeController(f, c.Journal().Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res2, err := rc.Run(apply)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -127,7 +127,11 @@ func TestControllerTornAppendResume(t *testing.T) {
 		t.Fatalf("torn journal must decode to its clean prefix: %v", err)
 	}
 
-	res2, err := f.ResumeRollout(data, apply)
+	rc, err := ResumeController(f, data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res2, err := rc.Run(apply)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +224,7 @@ func TestFleetChaosLeaseExpiry(t *testing.T) {
 				t.Fatal(err)
 			}
 			counts := make([]atomic.Int32, 6)
-			res, err := f.Rollout(countingApply(tpl, counts))
+			res, err := NewController(f, nil).Run(countingApply(tpl, counts))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -261,7 +265,7 @@ func TestFleetLeaseBudgetExhausted(t *testing.T) {
 		t.Fatal(err)
 	}
 	counts := make([]atomic.Int32, 2)
-	res, err := f.Rollout(countingApply(tpl, counts))
+	res, err := NewController(f, nil).Run(countingApply(tpl, counts))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +331,11 @@ func TestFleetChaosControllerCrash(t *testing.T) {
 				t.Fatal("no fault fired")
 			}
 
-			res2, err := f.ResumeRollout(c.Journal().Bytes(), apply)
+			rc, err := ResumeController(f, c.Journal().Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			res2, err := rc.Run(apply)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -25,7 +25,6 @@ import (
 	"sort"
 
 	"github.com/dynacut/dynacut/internal/kernel"
-	"github.com/dynacut/dynacut/internal/obs"
 )
 
 // Request is one weighted entry of a workload mix.
@@ -192,17 +191,6 @@ type Driver struct {
 	Mix     *Mix
 	// BucketTicks sizes one throughput bucket in guest instructions.
 	BucketTicks uint64
-	// RequestBudget bounds the instructions spent waiting for one
-	// response before it is counted as an error. A failed request is
-	// charged its full unused budget — the virtual time a real client
-	// would burn before timing out — so bucket windows stay aligned no
-	// matter how cheaply a request fails.
-	RequestBudget uint64
-	// Observer, when non-nil, receives per-request trace points
-	// (loadgen.request / loadgen.error) and the loadgen.latency
-	// histogram, so a run lands on the same mergeable timeline as the
-	// rewrite pipeline's own spans.
-	Observer *obs.Observer
 	// Hook, when set, runs before each bucket (e.g. to trigger a
 	// rewrite at a specific point in the timeline).
 	Hook func(bucket int) error
@@ -215,6 +203,13 @@ var (
 	// still mid-write when the request budget ran out.
 	ErrTruncated = errors.New("loadgen: response truncated by request budget")
 )
+
+// requestBudget bounds the ticks one request may wait for its
+// response before it is counted as an error, in both drivers. A
+// closed-loop request that fails is charged its full unused budget —
+// the virtual time a real client would burn before timing out — so
+// bucket windows stay aligned no matter how cheaply a request fails.
+const requestBudget = 2_000_000
 
 // drainTicks is the quiet window of Drain: once a response has bytes,
 // a driver keeps waiting in windows of this size as long as new bytes
@@ -229,9 +224,6 @@ func (d *Driver) Run(buckets int) (*Result, error) {
 	}
 	if d.BucketTicks == 0 {
 		d.BucketTicks = 100_000
-	}
-	if d.RequestBudget == 0 {
-		d.RequestBudget = 2_000_000
 	}
 	res := &Result{}
 	start := d.Machine.Clock()
@@ -254,25 +246,18 @@ func (d *Driver) Run(buckets int) (*Result, error) {
 				if len(res.Failures) < 4 {
 					res.Failures = append(res.Failures, err.Error())
 				}
-				if d.Observer != nil {
-					d.Observer.Point("loadgen.error", int64(b))
-				}
 				// Charge the failed request the rest of its budget: a
 				// cheap failure (refused dial, instant close) must not
 				// let the loop spin, and the bucket must keep its
 				// window instead of breaking out mid-bucket and letting
 				// the next bucket silently absorb the remaining ticks.
-				if spent := d.Machine.Clock() - t0; spent < d.RequestBudget {
-					d.Machine.AdvanceClock(d.RequestBudget - spent)
+				if spent := d.Machine.Clock() - t0; spent < requestBudget {
+					d.Machine.AdvanceClock(requestBudget - spent)
 				}
 				continue
 			}
 			res.Latency.Add(lat)
 			count++
-			if d.Observer != nil {
-				d.Observer.Point("loadgen.request", int64(lat))
-				d.Observer.Observe("loadgen.latency", int64(lat))
-			}
 		}
 		res.Buckets = append(res.Buckets, Bucket{
 			Index: b, Responses: count, Offered: offered, Errors: failed,
@@ -297,12 +282,12 @@ func (d *Driver) one() (uint64, error) {
 	if _, err := conn.Write([]byte(payload)); err != nil {
 		return 0, err
 	}
-	body, lastByte, truncated := Drain(d.Machine, conn, t0, d.RequestBudget)
+	body, lastByte, truncated := Drain(d.Machine, conn, t0, requestBudget)
 	if len(body) == 0 {
 		return 0, fmt.Errorf("no response to %q", payload)
 	}
 	if truncated {
-		return 0, fmt.Errorf("%w: %q got %d bytes in %d ticks", ErrTruncated, payload, len(body), d.RequestBudget)
+		return 0, fmt.Errorf("%w: %q got %d bytes in %d ticks", ErrTruncated, payload, len(body), requestBudget)
 	}
 	return lastByte - t0, nil
 }

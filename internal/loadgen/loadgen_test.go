@@ -246,7 +246,7 @@ func TestHistogramPercentileEdges(t *testing.T) {
 
 // TestDriverChargesFailedBudget pins the bucket-alignment fix: a
 // request that fails instantly (refused dial on a dead server) must be
-// charged its full RequestBudget so the virtual clock stays aligned to
+// charged its full requestBudget so the virtual clock stays aligned to
 // the bucket grid. Pre-fix, the inner loop broke out of the bucket on
 // the first error with the clock unmoved, so each bucket recorded one
 // error and zero elapsed time.
@@ -259,9 +259,8 @@ func TestDriverChargesFailedBudget(t *testing.T) {
 	}
 	d := &Driver{
 		Machine: m, Port: port,
-		Mix:           NewMix(Request{Payload: "PING\n"}),
-		BucketTicks:   40_000,
-		RequestBudget: 10_000,
+		Mix:         NewMix(Request{Payload: "PING\n"}),
+		BucketTicks: 4 * requestBudget,
 	}
 	start := m.Clock()
 	res, err := d.Run(2)
@@ -270,8 +269,8 @@ func TestDriverChargesFailedBudget(t *testing.T) {
 	}
 	// Budget divides the bucket evenly and failures cost zero guest
 	// ticks, so the alignment must be exact.
-	if got := m.Clock() - start; got != 80_000 {
-		t.Fatalf("clock advanced %d ticks, want exactly 80000", got)
+	if got := m.Clock() - start; got != 8*requestBudget {
+		t.Fatalf("clock advanced %d ticks, want exactly %d", got, 8*requestBudget)
 	}
 	if res.Errors != 8 || res.Total != 8 {
 		t.Fatalf("Errors = %d, Total = %d, want 8/8", res.Errors, res.Total)
@@ -290,11 +289,11 @@ func TestDriverChargesFailedBudget(t *testing.T) {
 // ticks.
 func TestDriverMidBucketFailureKeepsBucket(t *testing.T) {
 	m, port := bootKV(t)
+	const bucket = 2 * requestBudget // room for two failed requests
 	d := &Driver{
 		Machine: m, Port: port,
-		Mix:           NewMix(Request{Payload: "PING\n"}),
-		BucketTicks:   40_000,
-		RequestBudget: 10_000,
+		Mix:         NewMix(Request{Payload: "PING\n"}),
+		BucketTicks: bucket,
 		Hook: func(b int) error {
 			if b != 1 {
 				return nil
@@ -322,8 +321,8 @@ func TestDriverMidBucketFailureKeepsBucket(t *testing.T) {
 			t.Errorf("bucket %d errors = %d, want >= 2 (bucket abandoned?)", b.Index, b.Errors)
 		}
 	}
-	if got := m.Clock() - start; got < 3*40_000 {
-		t.Fatalf("clock advanced %d ticks, want >= %d", got, 3*40_000)
+	if got := m.Clock() - start; got < 3*bucket {
+		t.Fatalf("clock advanced %d ticks, want >= %d", got, 3*bucket)
 	}
 	offered := 0
 	for _, b := range res.Buckets {

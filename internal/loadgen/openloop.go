@@ -30,12 +30,6 @@ type OpenDriver struct {
 	// are bucketed by scheduled time, completions by completion time —
 	// that skew is exactly how a service gap becomes visible.
 	BucketTicks uint64
-	// RequestBudget bounds the vticks one request may wait before it is
-	// failed (0 = 2_000_000).
-	RequestBudget uint64
-	// MaxInFlight bounds the in-flight window; arrivals beyond it are
-	// dropped, not queued (0 = 8).
-	MaxInFlight int
 	// PollTicks is the clock-pumping quantum between in-flight polls
 	// (0 = 10_000). Smaller = finer completion timestamps, more host
 	// work.
@@ -49,6 +43,10 @@ type OpenDriver struct {
 	// goroutine — the machine's owner — at deterministic points.
 	Hook func(offset uint64) error
 }
+
+// maxInFlight bounds an OpenDriver's in-flight window; arrivals beyond
+// it are dropped, not queued.
+const maxInFlight = 8
 
 // ErrNoSchedule marks an OpenDriver run without a schedule.
 var ErrNoSchedule = errors.New("loadgen: open driver needs a schedule")
@@ -65,7 +63,7 @@ type flight struct {
 
 // Run drives the schedule over horizon vticks, then keeps the clock
 // moving until every in-flight request resolves (so the tail can run
-// at most one RequestBudget past the horizon). Buckets densely cover
+// at most one requestBudget past the horizon). Buckets densely cover
 // the horizon even where nothing happened — a zero-response bucket
 // with Offered > 0 is a service gap, and must be visible as such.
 func (d *OpenDriver) Run(horizon uint64) (*Result, error) {
@@ -74,12 +72,6 @@ func (d *OpenDriver) Run(horizon uint64) (*Result, error) {
 	}
 	if d.BucketTicks == 0 {
 		d.BucketTicks = 100_000
-	}
-	if d.RequestBudget == 0 {
-		d.RequestBudget = 2_000_000
-	}
-	if d.MaxInFlight == 0 {
-		d.MaxInFlight = 8
 	}
 	if d.PollTicks == 0 {
 		d.PollTicks = 10_000
@@ -130,7 +122,7 @@ func (d *OpenDriver) fire(a Arrival, pending *[]*flight, res *Result, start uint
 	res.Total++
 	b := res.bucketAt(a.At, d.BucketTicks)
 	b.Offered++
-	if len(*pending) >= d.MaxInFlight {
+	if len(*pending) >= maxInFlight {
 		res.Dropped++
 		b.Dropped++
 		if d.Observer != nil {
@@ -220,13 +212,13 @@ func (d *OpenDriver) poll(pending *[]*flight, res *Result, start uint64, idle bo
 			// done even though the guest kept the connection open.
 			d.complete(f, res, start)
 			f.conn.Close()
-		case now-f.t0 >= d.RequestBudget:
+		case now-f.t0 >= requestBudget:
 			if f.got > 0 {
 				d.fail(res, now-start, fmt.Errorf("%w: %q got %d bytes in %d ticks",
-					ErrTruncated, f.payload, f.got, d.RequestBudget))
+					ErrTruncated, f.payload, f.got, requestBudget))
 			} else {
 				d.fail(res, now-start, fmt.Errorf("timeout: %q got no bytes in %d ticks",
-					f.payload, d.RequestBudget))
+					f.payload, requestBudget))
 			}
 			f.conn.Close()
 		default:

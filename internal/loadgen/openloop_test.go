@@ -66,7 +66,6 @@ func TestOpenDriverClockJumpShedsLoad(t *testing.T) {
 		Schedule:    NewConstant(5_000),
 		Mix:         NewMix(Request{Payload: "PING\n"}),
 		BucketTicks: 100_000,
-		MaxInFlight: 4,
 		Hook: func(offset uint64) error {
 			if offset == 200_000 && !jumped {
 				jumped = true
@@ -87,7 +86,8 @@ func TestOpenDriverClockJumpShedsLoad(t *testing.T) {
 			res.Served(), res.Errors, res.Dropped, got, res.Total)
 	}
 	// The arrivals scheduled inside the jumped-over window all become
-	// due at once: the in-flight window takes 4, the rest are shed.
+	// due at once: the in-flight window takes maxInFlight, the rest
+	// are shed.
 	if res.Dropped == 0 {
 		t.Fatal("clock jump shed no load")
 	}

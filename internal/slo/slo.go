@@ -10,7 +10,7 @@
 // vtick, dropped requests, and per-replica downtime spans measured two
 // independent ways (the rollout journal's intent/outcome vclock
 // stamps vs the service gaps the load generator observed) that must
-// agree within one bucket.
+// describe the same outage (Span.Explains).
 //
 // # Concurrency model
 //
@@ -91,8 +91,8 @@ var (
 // spans live on the controller's worker-lane vclock axis (intent
 // stamp to outcome stamp); observed spans live on the replica's load
 // timeline (offsets from the run start, bucket-quantized). The axes
-// differ but the LENGTHS measure the same outage, which is what
-// Matches compares.
+// differ, but a journal span's length placed at the replica's park
+// offset is the outage the observed span must show (Explains).
 type Span struct {
 	Replica    int
 	Start, End uint64
@@ -101,15 +101,26 @@ type Span struct {
 // Ticks returns the span length.
 func (s Span) Ticks() uint64 { return s.End - s.Start }
 
-// Matches reports whether two spans agree in length within tol ticks
-// (the cross-check tolerance is one bucket: the observed span is
-// quantized to the bucket grid).
-func (s Span) Matches(o Span, tol uint64) bool {
-	a, b := s.Ticks(), o.Ticks()
-	if a > b {
-		a, b = b, a
+// Explains reports whether observed, a replica's service gap in whole
+// buckets of bucket ticks, is the outage the journal span s describes.
+// The replica's driver parked at load offset park and stamped nothing
+// for exactly s.Ticks() of clock, so every bucket wholly inside
+// [park, park+s.Ticks()) completed nothing and must lie in the gap.
+// The bucket holding park may still complete responses stamped before
+// it, and the bucket holding the resume point completes the backlog,
+// so the gap may take in those two partly covered buckets and no more.
+// Off the bucket grid the gap can therefore be shorter than the span
+// by up to two buckets; it can never lie outside these bounds.
+func (s Span) Explains(observed Span, park, bucket uint64) bool {
+	if observed.End <= observed.Start {
+		return false
 	}
-	return b-a <= tol
+	first, last := observed.Start/bucket, observed.End/bucket-1
+	parkB, endB := park/bucket, (park+s.Ticks())/bucket
+	// Dark buckets run from parkB+1 to endB-1; last+1 >= endB says the
+	// gap reaches the last of them without underflowing when there
+	// are none.
+	return first >= parkB && last <= endB && first <= parkB+1 && last+1 >= endB
 }
 
 // Report is the SLO view of one rollout-under-load run.
@@ -129,6 +140,10 @@ type Report struct {
 	// gap or journal entry are absent.
 	JournalSpans  []Span
 	ObservedSpans []Span
+	// Parks holds each replica's park offset on its load timeline: the
+	// first arrival at or past the hold point, where its driver handed
+	// the machine to the rollout (Horizon if its load ended first).
+	Parks []uint64
 	// SLO figures over the merged result.
 	P50, P99, P999 uint64
 	ServedPerVtick float64
@@ -141,6 +156,7 @@ type Report struct {
 // harness wires one rollout-under-load run.
 type harness struct {
 	cfg         Config
+	parks       []uint64        // replica i's park offset, written before parked[i] closes
 	parked      []chan struct{} // closed when replica i's clock is frozen
 	outcome     []chan struct{} // closed when replica i's step resolved
 	rolloutDone chan struct{}
@@ -172,6 +188,7 @@ func RolloutUnderLoad(template *kernel.Machine, rootPID int, fcfg fleet.Config, 
 	n := fcfg.Replicas
 	h := &harness{
 		cfg:         cfg,
+		parks:       make([]uint64, n),
 		parked:      make([]chan struct{}, n),
 		outcome:     make([]chan struct{}, n),
 		rolloutDone: make(chan struct{}),
@@ -179,6 +196,7 @@ func RolloutUnderLoad(template *kernel.Machine, rootPID int, fcfg fleet.Config, 
 		outOnce:     make([]sync.Once, n),
 	}
 	for i := 0; i < n; i++ {
+		h.parks[i] = cfg.Horizon
 		h.parked[i] = make(chan struct{})
 		h.outcome[i] = make(chan struct{})
 	}
@@ -247,6 +265,7 @@ func RolloutUnderLoad(template *kernel.Machine, rootPID int, fcfg fleet.Config, 
 	rep.Journal = ctl.Journal().Records()
 	rep.JournalSpans = journalSpans(rep.Journal)
 	rep.ObservedSpans = observedSpans(results, bucket)
+	rep.Parks = h.parks
 	return rep, f, nil
 }
 
@@ -303,7 +322,10 @@ func (h *harness) driver(i int, r *fleet.Replica) *loadgen.OpenDriver {
 				return nil
 			}
 			held = true
-			h.parkOnce[i].Do(func() { close(h.parked[i]) })
+			h.parkOnce[i].Do(func() {
+				h.parks[i] = offset
+				close(h.parked[i])
+			})
 			select {
 			case <-h.outcome[i]:
 			case <-h.rolloutDone:

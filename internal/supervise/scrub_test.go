@@ -27,14 +27,8 @@ func TestStormLadderScrubRepairsCorruptText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(b.m, cust, Config{
-		PollEvery:      neverPoll,
-		StormThreshold: 3,
-		StormWindow:    1 << 40,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
@@ -50,15 +44,15 @@ func TestStormLadderScrubRepairsCorruptText(t *testing.T) {
 		t.Fatal("flip refused")
 	}
 
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stormThreshold; i++ {
 		b.request(t, "PUT /f x\n")
 	}
 	sup.Step(b.m.Clock())
 
-	if lvl := sup.Level(); lvl != 4 {
+	if lvl := sup.Status().Level; lvl != 4 {
 		t.Fatalf("ladder level %d, want 4 (scrub)", lvl)
 	}
-	if sup.Restored() {
+	if sup.Status().Restored {
 		t.Fatal("scrub rung escalated to a pristine restore anyway")
 	}
 	rep, err := cust.Attest()
@@ -90,25 +84,19 @@ func TestStormLadderScrubFallsThroughOnCleanText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(b.m, cust, Config{
-		PollEvery:      neverPoll,
-		StormThreshold: 3,
-		StormWindow:    1 << 40,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stormThreshold; i++ {
 		b.request(t, "PUT /f x\n")
 	}
 	sup.Step(b.m.Clock())
 
-	if !sup.Restored() || !sup.Disarmed() {
+	if !sup.Status().Restored || !sup.Status().Disarmed {
 		t.Fatalf("clean-text storm: restored=%v disarmed=%v, want both (scrub must not absorb it)",
-			sup.Restored(), sup.Disarmed())
+			sup.Status().Restored, sup.Status().Disarmed)
 	}
 }
 
@@ -129,14 +117,8 @@ func TestScrubRungFaultFallsThrough(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(b.m, cust, Config{
-		PollEvery:      neverPoll,
-		StormThreshold: 3,
-		StormWindow:    1 << 40,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
@@ -145,12 +127,12 @@ func TestScrubRungFaultFallsThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	p.Mem().FlipBits(blocks[0].Addr+2, 0x40)
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stormThreshold; i++ {
 		b.request(t, "PUT /f x\n")
 	}
 	sup.Step(b.m.Clock())
 
-	if !sup.Restored() {
+	if !sup.Status().Restored {
 		t.Fatal("faulted scrub rung did not fall through to restore")
 	}
 	// The restore rebound the customizer to pristine text; its fresh

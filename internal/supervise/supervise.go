@@ -7,7 +7,7 @@
 //   - polls the injected handler's trap counter and false-removal log,
 //     adopting addresses the in-guest verifier healed (§3.2.3) and
 //     charging them as strikes against the feature that owned them;
-//   - runs a canary probe on a configurable cadence with a virtual-time
+//   - runs a canary probe on a fixed cadence with a virtual-time
 //     deadline and bounded exponential backoff after failures;
 //   - keeps a per-feature circuit breaker (closed → open → half-open):
 //     a feature whose removal keeps misfiring is force re-enabled and
@@ -94,54 +94,48 @@ type Breaker struct {
 	trialAt uint64 // when half-open: virtual instant the trial began
 }
 
-// Config tunes the supervisor. The zero value of every field selects
-// a sensible default; only Canary has no default (nil = no probing).
+// Config wires the supervisor to its guest's health probe and trace.
+// Its cadences and thresholds are the constants below.
 type Config struct {
-	// PollEvery is the supervisor's wake-up cadence in virtual ticks
-	// (the tick-watchdog period).
-	PollEvery uint64
 	// Canary, when non-nil, is the end-to-end health probe (Session's
 	// Canary helper wires a request/response check through it).
 	Canary func() error
-	// CanaryEvery is the probe cadence in virtual ticks.
-	CanaryEvery uint64
-	// CanaryBackoff is the first retry delay after a failed probe;
-	// it doubles per consecutive failure up to CanaryBackoffMax.
-	CanaryBackoff    uint64
-	CanaryBackoffMax uint64
-	// BreakerThreshold is how many strikes open a closed breaker.
-	BreakerThreshold int
-	// Probation is the first quarantine length after a breaker trip;
-	// it doubles with every further trip up to ProbationMax.
-	Probation    uint64
-	ProbationMax uint64
-	// StormWindow and StormThreshold define a trap storm: at least
-	// StormThreshold handler hits within the last StormWindow ticks.
-	StormWindow    uint64
-	StormThreshold uint64
-	// CalmWindow is how long the guest must stay trap-free before the
-	// degradation level decays back to normal and half-open breakers
-	// close. 0 = StormWindow.
-	CalmWindow uint64
 	// Observer receives supervise.* spans and points. nil = silent.
 	Observer *obs.Observer
 }
 
-// Defaults for Config zero values. The scales match the simulated
-// guests, where booting a server costs ~2k virtual ticks and serving
-// one request costs ~100: the supervisor wakes about once per
-// scheduler round, probes every few hundred ticks, and storms are
-// judged over windows a handful of requests wide.
+// The supervisor's cadences and thresholds, in virtual ticks. The
+// scales match the simulated guests, where booting a server costs ~2k
+// virtual ticks and serving one request costs ~100: the supervisor
+// wakes about once per scheduler round and probes every few hundred
+// ticks.
 const (
-	DefaultPollEvery        = 64
-	DefaultCanaryEvery      = 512
-	DefaultBreakerThreshold = 3
-	DefaultProbation        = 2_048
-	DefaultStormWindow      = 512
-	DefaultStormThreshold   = 8
-)
-
-const (
+	// pollEvery is the supervisor's wake-up cadence (the tick-watchdog
+	// period).
+	pollEvery = 64
+	// canaryEvery is the probe cadence. A failed probe is retried
+	// after canaryBackoff, doubling per consecutive failure up to
+	// canaryBackoffMax.
+	canaryEvery      = 512
+	canaryBackoff    = canaryEvery
+	canaryBackoffMax = 8 * canaryBackoff
+	// breakerThreshold is how many strikes open a closed breaker.
+	breakerThreshold = 3
+	// probation is the first quarantine length after a breaker trip;
+	// it doubles with every further trip up to probationMax.
+	probation    = 2_048
+	probationMax = 8 * probation
+	// stormWindow and stormThreshold define a trap storm: at least
+	// stormThreshold handler hits within the last stormWindow ticks. A
+	// session request spans at least one 50k-tick drain window
+	// (loadgen.Drain), so the window covers several requests' worth of
+	// virtual time and their traps count together.
+	stormWindow    = 400_000
+	stormThreshold = 4
+	// calmWindow is how long the guest must stay trap-free before the
+	// degradation level decays back to normal and half-open breakers
+	// close.
+	calmWindow = stormWindow
 	// canaryDeadline bounds the virtual time one probe may consume; a
 	// slower probe counts as a failure even if it succeeds.
 	canaryDeadline = 10_000
@@ -151,39 +145,6 @@ const (
 	// the retries must happen here or never.
 	restoreAttempts = 5
 )
-
-func (c *Config) fillDefaults() {
-	if c.PollEvery == 0 {
-		c.PollEvery = DefaultPollEvery
-	}
-	if c.CanaryEvery == 0 {
-		c.CanaryEvery = DefaultCanaryEvery
-	}
-	if c.CanaryBackoff == 0 {
-		c.CanaryBackoff = c.CanaryEvery
-	}
-	if c.CanaryBackoffMax == 0 {
-		c.CanaryBackoffMax = 8 * c.CanaryBackoff
-	}
-	if c.BreakerThreshold == 0 {
-		c.BreakerThreshold = DefaultBreakerThreshold
-	}
-	if c.Probation == 0 {
-		c.Probation = DefaultProbation
-	}
-	if c.ProbationMax == 0 {
-		c.ProbationMax = 8 * c.Probation
-	}
-	if c.StormWindow == 0 {
-		c.StormWindow = DefaultStormWindow
-	}
-	if c.StormThreshold == 0 {
-		c.StormThreshold = DefaultStormThreshold
-	}
-	if c.CalmWindow == 0 {
-		c.CalmWindow = c.StormWindow
-	}
-}
 
 // sample is one poll's trap delta at a virtual instant.
 type sample struct{ at, hits uint64 }
@@ -239,7 +200,6 @@ type Status struct {
 // New builds a supervisor for the customizer's guest. Call Attach to
 // snapshot the last-good images and start the closed loop.
 func New(m *kernel.Machine, cust *core.Customizer, cfg Config) *Supervisor {
-	cfg.fillDefaults()
 	if cfg.Observer != nil && m.Observer() == nil {
 		m.SetObserver(cfg.Observer)
 	}
@@ -269,8 +229,8 @@ func (s *Supervisor) Attach() error {
 	s.rootAt = s.cust.PID()
 	now := s.m.Clock()
 	s.calmSince = now
-	s.nextCanaryAt = now + s.cfg.CanaryEvery
-	s.m.SetTickWatchdog(s.cfg.PollEvery, s.Step)
+	s.nextCanaryAt = now + canaryEvery
+	s.m.SetTickWatchdog(pollEvery, s.Step)
 	s.attached = true
 	s.point("supervise.attach", int64(len(s.lastGood)))
 	return nil
@@ -303,7 +263,7 @@ func (s *Supervisor) Step(now uint64) {
 	s.runCanary(now)
 
 	if delta == 0 && !healed {
-		if s.level > 0 && !s.disarmed && !s.restored && now-s.calmSince >= s.cfg.CalmWindow {
+		if s.level > 0 && !s.disarmed && !s.restored && now-s.calmSince >= calmWindow {
 			// A full calm window at a recoverable rung: back to normal.
 			s.level = 0
 			s.point("supervise.degrade.reset", 0)
@@ -312,7 +272,7 @@ func (s *Supervisor) Step(now uint64) {
 		s.calmSince = now
 	}
 
-	if win := s.windowHits(now); win >= s.cfg.StormThreshold {
+	if win := s.windowHits(now); win >= stormThreshold {
 		s.samples = nil // the window restarts after the response
 		s.point("supervise.storm", int64(win))
 		if healed && s.level == 0 {
@@ -353,7 +313,7 @@ func (s *Supervisor) pollTraps(now uint64) uint64 {
 func (s *Supervisor) evict(now uint64) {
 	keep := s.samples[:0]
 	for _, sm := range s.samples {
-		if now-sm.at <= s.cfg.StormWindow {
+		if now-sm.at <= stormWindow {
 			keep = append(keep, sm)
 		}
 	}
@@ -363,7 +323,7 @@ func (s *Supervisor) evict(now uint64) {
 func (s *Supervisor) windowHits(now uint64) uint64 {
 	var n uint64
 	for _, sm := range s.samples {
-		if now-sm.at <= s.cfg.StormWindow {
+		if now-sm.at <= stormWindow {
 			n += sm.hits
 		}
 	}
@@ -436,7 +396,7 @@ func (s *Supervisor) tendBreakers(now uint64) {
 				s.point("supervise.breaker.halfopen", int64(br.Trips))
 			}
 		case BreakerHalfOpen:
-			if br.Strikes == 0 && now-br.trialAt >= s.cfg.CalmWindow {
+			if br.Strikes == 0 && now-br.trialAt >= calmWindow {
 				br.State = BreakerClosed
 				s.point("supervise.breaker.close", int64(br.Trips))
 			}
@@ -467,12 +427,12 @@ func (s *Supervisor) runCanary(now uint64) {
 	after := s.m.Clock() // the probe itself consumed virtual time
 	if err == nil {
 		s.canaryFails = 0
-		s.nextCanaryAt = after + s.cfg.CanaryEvery
+		s.nextCanaryAt = after + canaryEvery
 		s.point("supervise.canary.ok", 0)
 		return
 	}
 	s.canaryFails++
-	backoff := shiftClamp(s.cfg.CanaryBackoff, s.canaryFails-1, s.cfg.CanaryBackoffMax)
+	backoff := shiftClamp(canaryBackoff, s.canaryFails-1, canaryBackoffMax)
 	s.nextCanaryAt = after + backoff
 	s.point("supervise.canary.fail", int64(s.canaryFails))
 	if name, ok := s.latestDisabled(); ok {
@@ -512,8 +472,11 @@ func shiftClamp(base uint64, n int, max uint64) uint64 {
 // escalate walks the degradation ladder from the current level until
 // a rung succeeds. Rung failures (injected or real) fall through to
 // the next, harsher rung within the same step — a storm is not left
-// unanswered.
+// unanswered. Every escalation restarts the storm window, whatever
+// started it: traps counted before a canary-driven response must not
+// escalate the ladder a second time in the same step.
 func (s *Supervisor) escalate(now uint64) {
+	s.samples = nil
 	for s.level < 5 {
 		s.level++
 		s.point("supervise.degrade.level", int64(s.level))
@@ -566,7 +529,7 @@ func (s *Supervisor) scrubText(now uint64) bool {
 		end(nil)
 		return false
 	}
-	rs, err := s.cust.Repair(rep, true)
+	rs, err := s.cust.Repair(rep)
 	if err != nil {
 		end(err)
 		return false
@@ -764,7 +727,7 @@ func (s *Supervisor) strike(name string, now uint64) {
 	case BreakerHalfOpen:
 		s.open(br, now)
 	case BreakerClosed:
-		if br.Strikes >= s.cfg.BreakerThreshold {
+		if br.Strikes >= breakerThreshold {
 			s.open(br, now)
 		}
 	}
@@ -774,7 +737,7 @@ func (s *Supervisor) open(br *Breaker, now uint64) {
 	br.State = BreakerOpen
 	br.Trips++
 	br.OpenedAt = now
-	br.Probation = shiftClamp(s.cfg.Probation, br.Trips-1, s.cfg.ProbationMax)
+	br.Probation = shiftClamp(probation, br.Trips-1, probationMax)
 	br.Strikes = 0
 	s.point("supervise.breaker.open", int64(br.Trips))
 }
@@ -796,29 +759,6 @@ func (s *Supervisor) Status() Status {
 		Err:         s.fatal,
 	}
 }
-
-// Breaker state accessors (for tests and demos).
-
-// FeatureBreaker returns a copy of the feature's breaker ledger.
-func (s *Supervisor) FeatureBreaker(name string) (Breaker, bool) {
-	br, ok := s.breakers[name]
-	if !ok {
-		return Breaker{}, false
-	}
-	return *br, true
-}
-
-// Level returns the degradation rung currently reached (0 = normal).
-func (s *Supervisor) Level() int { return s.level }
-
-// Disarmed reports whether the ladder switched patching off.
-func (s *Supervisor) Disarmed() bool { return s.disarmed }
-
-// Restored reports whether the ladder restored the last-good images.
-func (s *Supervisor) Restored() bool { return s.restored }
-
-// Err returns the unrecoverable error, if the guest was lost.
-func (s *Supervisor) Err() error { return s.fatal }
 
 func (s *Supervisor) span(name string) func(error) {
 	o := s.cfg.Observer

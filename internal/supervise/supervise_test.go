@@ -17,10 +17,6 @@ import (
 	"github.com/dynacut/dynacut/internal/trace"
 )
 
-// neverPoll parks the tick watchdog far in the future so unit tests
-// drive Supervisor.Step by hand, deterministically.
-const neverPoll = 1 << 60
-
 // bed is a booted, traced web-server guest (the same harness shape as
 // internal/core's testbed, rebuilt here to keep the package test
 // surface self-contained).
@@ -115,6 +111,16 @@ func (b *bed) assertGET(t *testing.T) {
 	}
 }
 
+// attachManual attaches sup and unhooks the tick watchdog, so the test
+// drives Supervisor.Step by hand, deterministically.
+func attachManual(t *testing.T, b *bed, sup *Supervisor) {
+	t.Helper()
+	if err := sup.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	b.m.SetTickWatchdog(0, nil)
+}
+
 // canary returns an end-to-end probe against the bed's server.
 func (b *bed) canary() func() error {
 	return func() error {
@@ -151,10 +157,8 @@ func TestSupervisorAdoptsAndStrikes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(b.m, cust, Config{PollEvery: neverPoll, StormThreshold: neverPoll})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("post", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +180,7 @@ func TestSupervisorAdoptsAndStrikes(t *testing.T) {
 	if after := cust.DisabledBlockCount(); after >= before {
 		t.Errorf("disabled count %d -> %d, want a drop from adoption", before, after)
 	}
-	br, ok := sup.FeatureBreaker("post")
+	br, ok := sup.Status().Breakers["post"]
 	if !ok || br.Strikes == 0 {
 		t.Errorf("adoption did not strike the owning feature: %+v (ok=%v)", br, ok)
 	}
@@ -185,7 +189,7 @@ func TestSupervisorAdoptsAndStrikes(t *testing.T) {
 
 // TestBreakerOpensQuarantinesAndRecloses walks the full circuit:
 // canary failures strike the most recent feature until its breaker
-// opens; DisableFeature is refused during probation, admitted as a
+// opens at exactly breakerThreshold strikes; DisableFeature is refused during probation, admitted as a
 // half-open trial after it, closed after a calm trial — and the next
 // trip doubles the probation.
 func TestBreakerOpensQuarantinesAndRecloses(t *testing.T) {
@@ -204,35 +208,32 @@ func TestBreakerOpensQuarantinesAndRecloses(t *testing.T) {
 		}
 		return nil
 	}
-	const probation = 10_000
-	sup := New(b.m, cust, Config{
-		PollEvery:        neverPoll,
-		StormThreshold:   neverPoll,
-		Canary:           probe,
-		CanaryEvery:      1,
-		CanaryBackoff:    1,
-		CanaryBackoffMax: 1,
-		BreakerThreshold: 2,
-		Probation:        probation,
-		ProbationMax:     8 * probation,
-		CalmWindow:       5_000,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{Canary: probe})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
-
-	// Two failing canaries: threshold reached, breaker opens.
-	fail = true
-	for i := 0; i < 2; i++ {
-		b.m.AdvanceClock(10)
+	// step advances the clock past the longest canary backoff, so every
+	// step runs the probe.
+	step := func() {
+		b.m.AdvanceClock(canaryBackoffMax)
 		sup.Step(b.m.Clock())
 	}
-	br, _ := sup.FeatureBreaker("webdav")
+	breaker := func() Breaker { return sup.Status().Breakers["webdav"] }
+
+	// breakerThreshold failing canaries open the breaker, and not one
+	// fewer.
+	fail = true
+	for i := 1; i < breakerThreshold; i++ {
+		step()
+		if br := breaker(); br.State != BreakerClosed || br.Strikes != i {
+			t.Fatalf("breaker after %d strikes: %+v, want closed", i, br)
+		}
+	}
+	step()
+	br := breaker()
 	if br.State != BreakerOpen || br.Trips != 1 {
-		t.Fatalf("breaker after 2 strikes: %+v, want open/1 trip", br)
+		t.Fatalf("breaker after %d strikes: %+v, want open/1 trip", breakerThreshold, br)
 	}
 	if br.Probation != probation {
 		t.Fatalf("first-trip probation %d, want %d", br.Probation, probation)
@@ -247,22 +248,21 @@ func TestBreakerOpensQuarantinesAndRecloses(t *testing.T) {
 	fail = false
 	b.m.AdvanceClock(probation)
 	sup.Step(b.m.Clock())
-	if br, _ = sup.FeatureBreaker("webdav"); br.State != BreakerHalfOpen {
+	if br = breaker(); br.State != BreakerHalfOpen {
 		t.Fatalf("breaker after probation: %v, want half-open", br.State)
 	}
-	b.m.AdvanceClock(5_000)
+	b.m.AdvanceClock(calmWindow)
 	sup.Step(b.m.Clock())
-	if br, _ = sup.FeatureBreaker("webdav"); br.State != BreakerClosed {
+	if br = breaker(); br.State != BreakerClosed {
 		t.Fatalf("breaker after calm trial: %v, want closed", br.State)
 	}
 
 	// The next trip doubles the probation (bounded exponential).
 	fail = true
-	for i := 0; i < 2; i++ {
-		b.m.AdvanceClock(10)
-		sup.Step(b.m.Clock())
+	for i := 0; i < breakerThreshold; i++ {
+		step()
 	}
-	br, _ = sup.FeatureBreaker("webdav")
+	br = breaker()
 	if br.State != BreakerOpen || br.Trips != 2 {
 		t.Fatalf("breaker after retrip: %+v, want open/2 trips", br)
 	}
@@ -284,18 +284,12 @@ func TestTrapStormReenablesOffendingFeature(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(b.m, cust, Config{
-		PollEvery:      neverPoll,
-		StormThreshold: 3,
-		StormWindow:    1 << 40,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stormThreshold; i++ {
 		if got := b.request(t, "PUT /f x\n"); !strings.Contains(got, "403") {
 			t.Fatalf("blocked PUT -> %q, want 403", got)
 		}
@@ -303,11 +297,10 @@ func TestTrapStormReenablesOffendingFeature(t *testing.T) {
 
 	sup.Step(b.m.Clock())
 
-	if lvl := sup.Level(); lvl != 2 {
+	if lvl := sup.Status().Level; lvl != 2 {
 		t.Fatalf("ladder level %d, want 2 (re-enable)", lvl)
 	}
-	br, _ := sup.FeatureBreaker("webdav")
-	if br.State != BreakerOpen {
+	if br := sup.Status().Breakers["webdav"]; br.State != BreakerOpen {
 		t.Fatalf("offending feature's breaker %v, want open", br.State)
 	}
 	if n := cust.DisabledBlockCount(); n != 0 {
@@ -339,27 +332,21 @@ func TestStormLadderFallsBackToPristine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(b.m, cust, Config{
-		PollEvery:      neverPoll,
-		StormThreshold: 3,
-		StormWindow:    1 << 40,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stormThreshold; i++ {
 		b.request(t, "PUT /f x\n")
 	}
 
 	sup.Step(b.m.Clock())
 
-	if !sup.Restored() || !sup.Disarmed() {
-		t.Fatalf("ladder end state restored=%v disarmed=%v, want both", sup.Restored(), sup.Disarmed())
+	if !sup.Status().Restored || !sup.Status().Disarmed {
+		t.Fatalf("ladder end state restored=%v disarmed=%v, want both", sup.Status().Restored, sup.Status().Disarmed)
 	}
-	if err := sup.Err(); err != nil {
+	if err := sup.Status().Err; err != nil {
 		t.Fatalf("guest lost: %v", err)
 	}
 	// Pristine fallback: everything re-enabled, full service.
@@ -384,6 +371,86 @@ func TestStormLadderFallsBackToPristine(t *testing.T) {
 	b.assertGET(t)
 }
 
+// stormBed boots a redirect-mode guest with WebDAV disabled through a
+// hand-driven supervisor: every blocked PUT is exactly one trap.
+func stormBed(t *testing.T, port uint16) (*bed, *Supervisor) {
+	t.Helper()
+	b := boot(t, webserv.Config{Name: "lighttpd", Port: port})
+	blocks := b.profile(t,
+		[]string{"GET /\n", "HEAD /\n", "OPTIONS /\n", "POST /\n", "MKCOL /x\n", "BREW /\n"},
+		[]string{"PUT /f data\n", "DELETE /f\n"})
+	cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
+	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
+		t.Fatal(err)
+	}
+	return b, sup
+}
+
+// trapAt sends one blocked PUT, then steps the supervisor at virtual
+// instant at (or at once, if the request ran the clock past it).
+func trapAt(t *testing.T, b *bed, sup *Supervisor, at uint64) {
+	t.Helper()
+	if got := b.request(t, "PUT /f x\n"); !strings.Contains(got, "403") {
+		t.Fatalf("blocked PUT -> %q, want 403", got)
+	}
+	if now := b.m.Clock(); at > now {
+		b.m.AdvanceClock(at - now)
+	}
+	sup.Step(b.m.Clock())
+}
+
+// TestStormThresholdBoundary: stormThreshold-1 traps inside the storm
+// window leave the ladder at rest; the stormThreshold-th escalates it.
+func TestStormThresholdBoundary(t *testing.T) {
+	b, sup := stormBed(t, 9205)
+	for i := 1; i < stormThreshold; i++ {
+		trapAt(t, b, sup, 0)
+		if st := sup.Status(); st.Level != 0 || st.WindowHits != uint64(i) {
+			t.Fatalf("after %d traps: level %d, window hits %d; want level 0, %d hits",
+				i, st.Level, st.WindowHits, i)
+		}
+	}
+	trapAt(t, b, sup, 0)
+	if st := sup.Status(); st.Level != 2 || st.Breakers["webdav"].State != BreakerOpen {
+		t.Fatalf("after %d traps: level %d, breaker %v; want the re-enable rung (2) and an open breaker",
+			stormThreshold, st.Level, st.Breakers["webdav"].State)
+	}
+}
+
+// TestStormWindowBoundary: stormThreshold traps whose first and last
+// polls lie exactly stormWindow apart still make a storm; spread one
+// tick per gap wider, the first has left the window and nothing
+// escalates.
+func TestStormWindowBoundary(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		port  uint16
+		extra uint64 // ticks added to every gap
+		storm bool
+	}{
+		{"inside", 9206, 0, true},
+		{"wider", 9207, 1, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b, sup := stormBed(t, tc.port)
+			t0 := b.m.Clock() + 10_000 // past the first request's own ticks
+			for i := uint64(0); i < stormThreshold; i++ {
+				trapAt(t, b, sup, t0+i*stormWindow/(stormThreshold-1)+i*tc.extra)
+			}
+			st := sup.Status()
+			if escalated := st.Level > 0; escalated != tc.storm {
+				t.Fatalf("polls %d ticks apart end to end: level %d, window hits %d; want storm=%v",
+					stormWindow+(stormThreshold-1)*tc.extra, st.Level, st.WindowHits, tc.storm)
+			}
+		})
+	}
+}
+
 // TestWatchdogDrivesSupervisor: with a real poll cadence the kernel
 // tick watchdog — not a test harness — runs the loop: guest traffic
 // alone is enough for the supervisor to adopt a false removal.
@@ -394,7 +461,7 @@ func TestWatchdogDrivesSupervisor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sup := New(b.m, cust, Config{PollEvery: 50, StormThreshold: neverPoll})
+	sup := New(b.m, cust, Config{})
 	if err := sup.Attach(); err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +479,11 @@ func TestWatchdogDrivesSupervisor(t *testing.T) {
 	if fl, err := cust.FalseRemovals(); err != nil || len(fl) != 0 {
 		t.Fatalf("watchdog-driven adoption missing: %d entries (err=%v)", len(fl), err)
 	}
-	if br, ok := sup.FeatureBreaker("post"); !ok || br.Strikes == 0 {
-		t.Errorf("no strike recorded by watchdog-driven heal: %+v ok=%v", br, ok)
+	// Each adopted address is a strike; more than breakerThreshold of
+	// them open the breaker, whether or not the storm rung re-enabled
+	// the feature since (which zeroes the strikes).
+	if br, ok := sup.Status().Breakers["post"]; !ok || br.Trips == 0 {
+		t.Errorf("watchdog-driven heal did not charge the feature's breaker: %+v ok=%v", br, ok)
 	}
 }
 
@@ -433,16 +503,8 @@ func healChaosScenario(t *testing.T, site string, seed int64) {
 		t.Fatal(err)
 	}
 	blocks := b.profile(t, []string{"GET /\n", "HEAD /\n"}, []string{"POST /\n"})
-	sup := New(b.m, cust, Config{
-		PollEvery:      neverPoll,
-		StormThreshold: neverPoll,
-		Canary:         b.canary(),
-		CanaryEvery:    10,
-		CanaryBackoff:  10,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{Canary: b.canary()})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("post", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +513,7 @@ func healChaosScenario(t *testing.T, site string, seed int64) {
 	}
 	// Pump the loop; a transient fault costs one round, no more.
 	for i := 0; i < 6; i++ {
-		b.m.AdvanceClock(100)
+		b.m.AdvanceClock(canaryEvery)
 		sup.Step(b.m.Clock())
 	}
 	assertConverged(t, b, sup, cust)
@@ -488,23 +550,17 @@ func stormChaosScenario(t *testing.T, site string, seed int64) {
 	blocks := b.profile(t,
 		[]string{"GET /\n", "HEAD /\n", "OPTIONS /\n", "POST /\n", "MKCOL /x\n", "BREW /\n"},
 		[]string{"PUT /f data\n", "DELETE /f\n"})
-	sup := New(b.m, cust, Config{
-		PollEvery:      neverPoll,
-		StormThreshold: 3,
-		StormWindow:    1 << 40,
-	})
-	if err := sup.Attach(); err != nil {
-		t.Fatal(err)
-	}
+	sup := New(b.m, cust, Config{})
+	attachManual(t, b, sup)
 	if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 4; i++ {
+	for i := 0; i < stormThreshold; i++ {
 		b.request(t, "PUT /f x\n")
 	}
 	for i := 0; i < 6; i++ {
 		sup.Step(b.m.Clock())
-		if sup.Err() != nil {
+		if sup.Status().Err != nil {
 			break
 		}
 		b.m.AdvanceClock(100)
@@ -522,7 +578,7 @@ func stormChaosScenario(t *testing.T, site string, seed int64) {
 // breaker ledger is internally consistent.
 func assertConverged(t *testing.T, b *bed, sup *Supervisor, cust *core.Customizer) {
 	t.Helper()
-	if err := sup.Err(); err != nil {
+	if err := sup.Status().Err; err != nil {
 		t.Fatalf("guest lost under transient faults: %v", err)
 	}
 	if len(b.m.Processes()) == 0 {
@@ -542,7 +598,7 @@ func assertConverged(t *testing.T, b *bed, sup *Supervisor, cust *core.Customize
 		if br.State == BreakerOpen && br.Trips == 0 {
 			t.Errorf("breaker %q open without a recorded trip", name)
 		}
-		if br.Probation > 8*DefaultProbation && br.Probation > sup.cfg.ProbationMax {
+		if br.Probation > probationMax {
 			t.Errorf("breaker %q probation %d exceeds cap", name, br.Probation)
 		}
 	}
@@ -596,14 +652,12 @@ func TestSupervisorBreakerDeterministicAcrossSeeds(t *testing.T) {
 		blocks := b.profile(t,
 			[]string{"GET /\n", "HEAD /\n", "OPTIONS /\n", "POST /\n", "MKCOL /x\n", "BREW /\n"},
 			[]string{"PUT /f data\n", "DELETE /f\n"})
-		sup := New(b.m, cust, Config{PollEvery: neverPoll, StormThreshold: 3, StormWindow: 1 << 40})
-		if err := sup.Attach(); err != nil {
-			t.Fatal(err)
-		}
+		sup := New(b.m, cust, Config{})
+		attachManual(t, b, sup)
 		if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < stormThreshold; i++ {
 			b.request(t, "PUT /f x\n")
 		}
 		for i := 0; i < 4; i++ {
@@ -653,16 +707,12 @@ func TestSupervisorTraceReplaysByteIdentical(t *testing.T) {
 		blocks := b.profile(t,
 			[]string{"GET /\n", "HEAD /\n", "OPTIONS /\n", "POST /\n", "MKCOL /x\n", "BREW /\n"},
 			[]string{"PUT /f data\n", "DELETE /f\n"})
-		sup := New(b.m, cust, Config{
-			PollEvery: neverPoll, StormThreshold: 3, StormWindow: 1 << 40, Observer: o,
-		})
-		if err := sup.Attach(); err != nil {
-			t.Fatal(err)
-		}
+		sup := New(b.m, cust, Config{Observer: o})
+		attachManual(t, b, sup)
 		if _, err := sup.DisableFeature("webdav", blocks, core.PolicyBlockEntry); err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < 4; i++ {
+		for i := 0; i < stormThreshold; i++ {
 			b.request(t, "PUT /f x\n")
 		}
 		for i := 0; i < 4; i++ {
