@@ -470,20 +470,11 @@ func BenchmarkMicro_RestoreCustomized(b *testing.B) {
 		b.Fatal(err)
 	}
 	blob := set.Marshal()
-	binaries := map[string][]byte{}
-	for _, name := range []string{app.Exe.Name, app.Libc.Name} {
-		data, err := sess.Machine.ReadFile(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		binaries[name] = data
-	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m := dynacut.NewMachine()
-		for name, data := range binaries {
-			m.WriteFile(name, data)
-		}
+		m.AddBinary(app.Exe)
+		m.AddBinary(app.Libc)
 		shipped, err := dynacut.UnmarshalImages(blob)
 		if err != nil {
 			b.Fatal(err)

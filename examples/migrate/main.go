@@ -70,13 +70,8 @@ func run() error {
 
 	// --- Ship to machine B --------------------------------------------
 	dst := dynacut.NewMachine()
-	for _, name := range []string{app.Exe.Name, app.Libc.Name} {
-		data, err := sess.Machine.ReadFile(name)
-		if err != nil {
-			return err
-		}
-		dst.WriteFile(name, data)
-	}
+	dst.AddBinary(app.Exe)
+	dst.AddBinary(app.Libc)
 	restoreStart := time.Now()
 	shipped, err := dynacut.UnmarshalImages(blob)
 	if err != nil {

@@ -148,72 +148,50 @@ func (c *Customizer) ensureSealed() error {
 	if c.attSealed {
 		return nil
 	}
-	return c.resealOracle()
+	return c.sealOracle(nil)
 }
 
-// resealOracle recomputes the expected digest of every text page from
-// the root process's live memory — the incremental commit step of the
-// oracle. A page whose digest changed pushes its old digest onto the
-// version history; every page's current content is deposited into the
-// store so a later repair can materialize the expected bytes by key.
+// sealOracle recomputes the expected digest of text pages from the
+// root process's live memory — the incremental commit step of the
+// oracle. With pns nil (or before the first seal) it reseals every
+// text page and drops pages that left the text; otherwise only the
+// listed pages, so the live-patch commit path, which touches a handful
+// of pages, does not pay a full text hash. A page whose digest changed
+// pushes its old digest onto the version history; every sealed page's
+// content is deposited into the store, and the store key is the
+// digest, so a later repair can materialize the expected bytes by key.
 // Call only at commit points, when the live text IS the expected text.
-func (c *Customizer) resealOracle() error {
+func (c *Customizer) sealOracle(pns []uint64) error {
 	p, err := c.machine.Process(c.pid)
 	if err != nil || p.Exited() {
 		return ErrDead
 	}
 	mem := p.Mem()
-	pns := mem.ExecPages()
-	live := mem.HashPages(pns)
+	next := c.oracle
+	if pns == nil || !c.attSealed {
+		pns = mem.ExecPages()
+		next = make(map[uint64]*pageOracle, len(pns))
+	}
 	store := c.attestStore()
-	next := make(map[uint64]*pageOracle, len(pns))
 	for _, pn := range pns {
+		// DepositPage copies what it keeps, so the live page is read
+		// in place.
+		digest, err := store.DepositPage(mem.PageDataUnsafe(pn))
+		if err != nil {
+			return fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
+		}
 		po := c.oracle[pn]
 		if po == nil {
 			po = &pageOracle{}
-		} else if po.digest != live[pn] && !digestIn(po.history, po.digest) {
+		} else if po.digest != digest && !digestIn(po.history, po.digest) {
 			po.history = append(po.history, po.digest)
 		}
-		po.digest = live[pn]
+		po.digest = digest
 		po.overlay = c.overlayFor(mem, pn)
-		if _, err := store.DepositPage(mem.PageData(pn)); err != nil {
-			return fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
-		}
 		next[pn] = po
 	}
 	c.oracle = next
 	c.attSealed = true
-	return nil
-}
-
-// updateOraclePages incrementally reseals only the listed pages — the
-// live-patch commit path, which touches a handful of pages and should
-// not pay a full text hash.
-func (c *Customizer) updateOraclePages(pns []uint64) error {
-	if !c.attSealed {
-		return c.resealOracle()
-	}
-	p, err := c.machine.Process(c.pid)
-	if err != nil || p.Exited() {
-		return ErrDead
-	}
-	mem := p.Mem()
-	live := mem.HashPages(pns)
-	store := c.attestStore()
-	for _, pn := range pns {
-		po := c.oracle[pn]
-		if po == nil {
-			po = &pageOracle{}
-			c.oracle[pn] = po
-		} else if po.digest != live[pn] && !digestIn(po.history, po.digest) {
-			po.history = append(po.history, po.digest)
-		}
-		po.digest = live[pn]
-		po.overlay = c.overlayFor(mem, pn)
-		if _, err := store.DepositPage(mem.PageData(pn)); err != nil {
-			return fmt.Errorf("core: sealing oracle page %#x: %w", pn, err)
-		}
-	}
 	return nil
 }
 

@@ -272,7 +272,7 @@ func New(m *kernel.Machine, pid int, opts Options) (*Customizer, error) {
 	// Seal the oracle on the pristine text so the first version in
 	// every page's chain is the unmodified binary. A guest that is not
 	// running yet seals lazily on first use instead.
-	_ = c.resealOracle()
+	_ = c.sealOracle(nil)
 	return c, nil
 }
 
@@ -523,7 +523,7 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 		// The restored text is the new expected state: reseal the
 		// attestation oracle against it (pristine digests stay in each
 		// page's version chain).
-		_ = c.resealOracle()
+		_ = c.sealOracle(nil)
 		if o := c.opts.Observer; o != nil {
 			o.Add("core.commits", 1)
 		}
@@ -568,7 +568,7 @@ func (c *Customizer) rollbackOr(stats *Stats, pristine []byte, blobParent *criu.
 				pids[i] = p.PID()
 			}
 			// The rolled-back pristine text is the expected state now.
-			_ = c.resealOracle()
+			_ = c.sealOracle(nil)
 			return pids, nil
 		}
 	}
@@ -947,7 +947,7 @@ func (c *Customizer) Rebind(pid int) {
 	// oracle described a guest that no longer exists.
 	c.oracle = nil
 	c.attSealed = false
-	_ = c.resealOracle()
+	_ = c.sealOracle(nil)
 }
 
 // Disabled reports the currently disabled block groups.
@@ -1103,7 +1103,7 @@ func (c *Customizer) AdoptFalseRemovals() ([]uint64, error) {
 		c.point("verifier.adopted", int64(len(healed)))
 		// The verifier restored those blocks' bytes in live text: the
 		// expected state moved, so the oracle must move with it.
-		_ = c.resealOracle()
+		_ = c.sealOracle(nil)
 	}
 	return healed, nil
 }

@@ -215,7 +215,7 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 	}
 	// Incremental oracle commit: only the pages the patch touched are
 	// resealed (their pre-patch digests join the version chain).
-	_ = c.updateOraclePages(spanPages(spans))
+	_ = c.sealOracle(spanPages(spans))
 	return stats, "", nil
 }
 

@@ -20,12 +20,6 @@ import (
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
-// FileStore provides the "on-disk" binaries referenced by the images;
-// *kernel.Machine implements it.
-type FileStore interface {
-	ReadFile(name string) ([]byte, error)
-}
-
 // Editor errors.
 var (
 	ErrNotMapped = errors.New("crit: address not mapped in image")
@@ -35,14 +29,15 @@ var (
 
 // Editor rewrites one ImageSet in place.
 type Editor struct {
-	set   *criu.ImageSet
-	store FileStore
+	set *criu.ImageSet
+	m   *kernel.Machine
 }
 
-// NewEditor wraps an image set for rewriting. store may be nil if no
-// library injection or symbol resolution is needed.
-func NewEditor(set *criu.ImageSet, store FileStore) *Editor {
-	return &Editor{set: set, store: store}
+// NewEditor wraps an image set for rewriting. m, whose disk holds the
+// binaries the images map, may be nil if no library injection or
+// symbol resolution is needed.
+func NewEditor(set *criu.ImageSet, m *kernel.Machine) *Editor {
+	return &Editor{set: set, m: m}
 }
 
 // Set returns the underlying image set.
@@ -55,26 +50,15 @@ func (e *Editor) proc(pid int) (*criu.ProcImage, error) {
 	return e.set.Proc(pid)
 }
 
-// faulter matches kernel.Machine's fault-injection hook; the editor
-// consults it through its FileStore so image edits are chaos-testable
-// without crit depending on the kernel's hook registry.
-type faulter interface {
-	Fault(site string, detail int) error
-}
-
-func (e *Editor) fault(site string, pid int) error {
-	if f, ok := e.store.(faulter); ok {
-		return f.Fault(site, pid)
-	}
-	return nil
-}
-
-// Fault consults the editor's fault hook (the machine backing its
-// FileStore) at a named site, for callers layering their own
-// chaos-testable steps — core's handler injection — on top of the
-// editor's primitives. Without a hook it always succeeds.
+// Fault consults the editor machine's fault hook at a named site, so
+// image edits — and callers layering their own steps on top of the
+// editor's primitives, like core's handler injection — are
+// chaos-testable. Without a machine it always succeeds.
 func (e *Editor) Fault(site string, detail int) error {
-	return e.fault(site, detail)
+	if e.m == nil {
+		return nil
+	}
+	return e.m.Fault(site, detail)
 }
 
 // vmaAt finds the VMA entry containing addr.
@@ -110,7 +94,7 @@ func (e *Editor) ReadMem(pid int, addr uint64, n int) ([]byte, error) {
 // with DumpOpts.ExecPages to make code pages patchable (the paper's
 // CRIU modification).
 func (e *Editor) WriteMem(pid int, addr uint64, b []byte) error {
-	if err := e.fault(faultinject.SiteEditWrite, pid); err != nil {
+	if err := e.Fault(faultinject.SiteEditWrite, pid); err != nil {
 		return err
 	}
 	pi, err := e.proc(pid)
@@ -157,7 +141,7 @@ func (e *Editor) WipeRange(pid int, addr, size uint64) error {
 // drops its pages: the strongest policy — the memory simply is not
 // there any more.
 func (e *Editor) UnmapRange(pid int, start, end uint64) error {
-	if err := e.fault(faultinject.SiteEditUnmap, pid); err != nil {
+	if err := e.Fault(faultinject.SiteEditUnmap, pid); err != nil {
 		return err
 	}
 	if start%kernel.PageSize != 0 || end%kernel.PageSize != 0 || end <= start {
@@ -323,23 +307,19 @@ func (e *Editor) FindModule(pid int, name string) (criu.ModuleEntry, error) {
 }
 
 // ResolveSymbol finds the runtime address of a symbol exported by any
-// module in the image, consulting the file store for symbol tables
-// (how the paper resolves PLT relocations of the injected library
-// against the mapped libc).
+// module in the image, consulting the machine's disk for symbol
+// tables (how the paper resolves PLT relocations of the injected
+// library against the mapped libc).
 func (e *Editor) ResolveSymbol(pid int, name string) (uint64, error) {
-	if e.store == nil {
-		return 0, fmt.Errorf("crit: no file store for symbol resolution")
+	if e.m == nil {
+		return 0, fmt.Errorf("crit: no machine for symbol resolution")
 	}
 	mods, err := e.Modules(pid)
 	if err != nil {
 		return 0, err
 	}
 	for _, mod := range mods {
-		data, err := e.store.ReadFile(mod.Name)
-		if err != nil {
-			continue
-		}
-		file, err := delf.Unmarshal(data)
+		file, err := e.m.Binary(mod.Name)
 		if err != nil {
 			continue
 		}

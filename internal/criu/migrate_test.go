@@ -36,13 +36,11 @@ func TestMigrationToFreshMachine(t *testing.T) {
 
 	// "Ship" images and binaries to the destination machine.
 	dst := kernel.NewMachine()
-	for _, name := range []string{"counter"} {
-		data, err := src.ReadFile(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dst.WriteFile(name, data)
+	bin, err := src.Binary("counter")
+	if err != nil {
+		t.Fatal(err)
 	}
+	dst.AddBinary(bin)
 	shipped, err := Unmarshal(blob)
 	if err != nil {
 		t.Fatal(err)

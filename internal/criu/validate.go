@@ -8,17 +8,10 @@ import (
 	"github.com/dynacut/dynacut/internal/kernel"
 )
 
-// FileStore provides the "on-disk" binaries referenced by the images;
-// *kernel.Machine implements it. Validate uses it to check that every
-// backing file a restore would re-read actually exists and parses.
-type FileStore interface {
-	ReadFile(name string) ([]byte, error)
-}
-
 // Validate cross-checks the internal consistency of the image set
 // before any live process is touched: it is the transaction guard
 // that lets Customizer.Rewrite refuse a bad edit while the guest is
-// still running. store may be nil to skip the disk checks (e.g. when
+// still running. m may be nil to skip the disk checks (e.g. when
 // validating a blob shipped without its binaries).
 //
 // Checked invariants:
@@ -31,11 +24,11 @@ type FileStore interface {
 //     the image or re-materializable from a backing file;
 //   - signal handlers point into executable memory;
 //   - descriptors have known kinds and unique FD numbers;
-//   - with a store: every backing file restore would read exists,
-//     parses as DELF, and contains the referenced section.
+//   - with a machine: every backing file restore would read exists
+//     on its disk and holds the referenced section.
 //
 // Violations are reported wrapping ErrInconsistentImage.
-func (s *ImageSet) Validate(store FileStore) error {
+func (s *ImageSet) Validate(m *kernel.Machine) error {
 	if len(s.PIDs) == 0 {
 		return fmt.Errorf("%w: empty image set", ErrInconsistentImage)
 	}
@@ -52,10 +45,9 @@ func (s *ImageSet) Validate(store FileStore) error {
 			return fmt.Errorf("%w: pid %d has no images", ErrInconsistentImage, pid)
 		}
 	}
-	binaries := map[string]*delf.File{} // backing-file parse cache
 	for i, pid := range s.PIDs {
 		pi := s.Procs[pid]
-		if err := validateProc(pid, pi, store, binaries); err != nil {
+		if err := validateProc(pid, pi, m); err != nil {
 			return err
 		}
 		// Parents must restore before children, or the restored tree
@@ -68,7 +60,7 @@ func (s *ImageSet) Validate(store FileStore) error {
 	return nil
 }
 
-func validateProc(pid int, pi *ProcImage, store FileStore, binaries map[string]*delf.File) error {
+func validateProc(pid int, pi *ProcImage, m *kernel.Machine) error {
 	fail := func(format string, args ...any) error {
 		return fmt.Errorf("%w: pid %d: %s", ErrInconsistentImage, pid, fmt.Sprintf(format, args...))
 	}
@@ -186,22 +178,14 @@ func validateProc(pid int, pi *ProcImage, store FileStore, binaries map[string]*
 	}
 
 	// Disk checks: everything a restore would re-read must exist.
-	if store != nil {
+	if m != nil {
 		for _, v := range pi.MM.VMAs {
 			if v.Anon || v.Backing == "" || v.BackSection == "" {
 				continue
 			}
-			file, ok := binaries[v.Backing]
-			if !ok {
-				data, err := store.ReadFile(v.Backing)
-				if err != nil {
-					return fail("VMA %s: backing file: %v", v.Name, err)
-				}
-				file, err = delf.Unmarshal(data)
-				if err != nil {
-					return fail("VMA %s: backing file %s: %v", v.Name, v.Backing, err)
-				}
-				binaries[v.Backing] = file
+			file, err := m.Binary(v.Backing)
+			if err != nil {
+				return fail("VMA %s: backing file: %v", v.Name, err)
 			}
 			if _, err := file.Section(v.BackSection); err != nil {
 				return fail("VMA %s: backing section: %v", v.Name, err)

@@ -201,9 +201,9 @@ func TestValidateCatchesInconsistencies(t *testing.T) {
 	if err := set.Validate(m); err != nil {
 		t.Fatalf("pristine set rejected: %v", err)
 	}
-	// Without a store, disk-backed checks are skipped but structural
+	// Without a machine, disk-backed checks are skipped but structural
 	// ones still run.
 	if err := set.Validate(nil); err != nil {
-		t.Fatalf("pristine set rejected without store: %v", err)
+		t.Fatalf("pristine set rejected without a machine: %v", err)
 	}
 }

@@ -1,4 +1,4 @@
-// Package delf defines the DELF binary format: the ELF-analogue
+// Package delf defines DELF binaries: the in-memory ELF-analogue
 // container for programs and shared libraries in the simulated system.
 //
 // A DELF file is either an executable (TypeExec, linked at a fixed
@@ -12,18 +12,10 @@
 package delf
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 )
-
-// Magic identifies a serialized DELF file.
-var Magic = [4]byte{'D', 'E', 'L', 'F'}
-
-// FormatVersion is bumped on incompatible serialization changes.
-const FormatVersion = 1
 
 // Type distinguishes executables from shared libraries.
 type Type uint8
@@ -162,7 +154,8 @@ type Reloc struct {
 	Addend int64
 }
 
-// File is a parsed or under-construction DELF binary.
+// File is a linked or under-construction DELF binary. Binaries live
+// only in memory; a machine keeps the loaded ones on its disk.
 type File struct {
 	Type     Type
 	Name     string // soname / program name
@@ -178,12 +171,10 @@ type File struct {
 	Needed []string
 }
 
-// Errors returned by lookup and parsing.
+// Errors returned by lookup.
 var (
-	ErrNoSymbol   = errors.New("delf: symbol not found")
-	ErrNoSection  = errors.New("delf: section not found")
-	ErrBadFile    = errors.New("delf: malformed file")
-	ErrBadVersion = errors.New("delf: unsupported format version")
+	ErrNoSymbol  = errors.New("delf: symbol not found")
+	ErrNoSection = errors.New("delf: section not found")
 )
 
 // Section returns the named section.
@@ -262,156 +253,4 @@ func (f *File) SortedFuncs() []Symbol {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
-}
-
-// Marshal serializes the file.
-func (f *File) Marshal() []byte {
-	var buf bytes.Buffer
-	buf.Write(Magic[:])
-	w := func(v uint64) { _ = binary.Write(&buf, binary.LittleEndian, v) }
-	ws := func(s string) {
-		w(uint64(len(s)))
-		buf.WriteString(s)
-	}
-	w(FormatVersion)
-	buf.WriteByte(byte(f.Type))
-	ws(f.Name)
-	w(f.Entry)
-	w(uint64(len(f.Sections)))
-	for _, s := range f.Sections {
-		ws(s.Name)
-		w(s.Addr)
-		w(s.Size)
-		buf.WriteByte(byte(s.Perm))
-		w(uint64(len(s.Data)))
-		buf.Write(s.Data)
-	}
-	w(uint64(len(f.Symbols)))
-	for _, sym := range f.Symbols {
-		ws(sym.Name)
-		w(sym.Value)
-		w(sym.Size)
-		buf.WriteByte(byte(sym.Kind))
-		if sym.Global {
-			buf.WriteByte(1)
-		} else {
-			buf.WriteByte(0)
-		}
-	}
-	w(uint64(len(f.Relocs)))
-	for _, r := range f.Relocs {
-		w(r.Off)
-		buf.WriteByte(byte(r.Kind))
-		ws(r.Symbol)
-		w(uint64(r.Addend))
-	}
-	w(uint64(len(f.Needed)))
-	for _, n := range f.Needed {
-		ws(n)
-	}
-	return buf.Bytes()
-}
-
-// Unmarshal parses a serialized DELF file.
-func Unmarshal(data []byte) (*File, error) {
-	r := &reader{data: data}
-	var magic [4]byte
-	copy(magic[:], r.bytes(4))
-	if r.err != nil || magic != Magic {
-		return nil, fmt.Errorf("%w: bad magic", ErrBadFile)
-	}
-	if v := r.u64(); v != FormatVersion {
-		return nil, fmt.Errorf("%w: %d", ErrBadVersion, v)
-	}
-	f := &File{Type: Type(r.u8())}
-	f.Name = r.str()
-	f.Entry = r.u64()
-	nsec := r.u64()
-	if r.err == nil && nsec > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: section count %d", ErrBadFile, nsec)
-	}
-	for i := uint64(0); i < nsec && r.err == nil; i++ {
-		s := &Section{Name: r.str(), Addr: r.u64(), Size: r.u64(), Perm: Perm(r.u8())}
-		n := r.u64()
-		if r.err == nil && n > uint64(len(data)) {
-			return nil, fmt.Errorf("%w: section data length %d", ErrBadFile, n)
-		}
-		s.Data = append([]byte(nil), r.bytes(int(n))...)
-		f.Sections = append(f.Sections, s)
-	}
-	nsym := r.u64()
-	if r.err == nil && nsym > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: symbol count %d", ErrBadFile, nsym)
-	}
-	for i := uint64(0); i < nsym && r.err == nil; i++ {
-		sym := Symbol{Name: r.str(), Value: r.u64(), Size: r.u64(),
-			Kind: SymKind(r.u8()), Global: r.u8() != 0}
-		f.Symbols = append(f.Symbols, sym)
-	}
-	nrel := r.u64()
-	if r.err == nil && nrel > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: reloc count %d", ErrBadFile, nrel)
-	}
-	for i := uint64(0); i < nrel && r.err == nil; i++ {
-		rel := Reloc{Off: r.u64(), Kind: RelKind(r.u8()), Symbol: r.str(), Addend: int64(r.u64())}
-		f.Relocs = append(f.Relocs, rel)
-	}
-	nneed := r.u64()
-	if r.err == nil && nneed > uint64(len(data)) {
-		return nil, fmt.Errorf("%w: needed count %d", ErrBadFile, nneed)
-	}
-	for i := uint64(0); i < nneed && r.err == nil; i++ {
-		f.Needed = append(f.Needed, r.str())
-	}
-	if r.err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadFile, r.err)
-	}
-	return f, nil
-}
-
-type reader struct {
-	data []byte
-	off  int
-	err  error
-}
-
-func (r *reader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || r.off+n > len(r.data) {
-		r.err = fmt.Errorf("truncated at offset %d (want %d bytes)", r.off, n)
-		return nil
-	}
-	b := r.data[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-func (r *reader) u64() uint64 {
-	b := r.bytes(8)
-	if r.err != nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-func (r *reader) u8() uint8 {
-	b := r.bytes(1)
-	if r.err != nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (r *reader) str() string {
-	n := r.u64()
-	if r.err != nil {
-		return ""
-	}
-	if n > uint64(len(r.data)) {
-		r.err = fmt.Errorf("string length %d exceeds file size", n)
-		return ""
-	}
-	return string(r.bytes(int(n)))
 }

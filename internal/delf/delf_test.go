@@ -3,7 +3,6 @@ package delf
 import (
 	"bytes"
 	"testing"
-	"testing/quick"
 )
 
 func sampleFile() *File {
@@ -26,78 +25,6 @@ func sampleFile() *File {
 			{Off: 0x402000, Kind: RelGOT64, Symbol: "write", Addend: -4},
 		},
 		Needed: []string{"libc.so"},
-	}
-}
-
-func filesEqual(a, b *File) bool {
-	if a.Type != b.Type || a.Name != b.Name || a.Entry != b.Entry ||
-		len(a.Sections) != len(b.Sections) || len(a.Symbols) != len(b.Symbols) ||
-		len(a.Relocs) != len(b.Relocs) || len(a.Needed) != len(b.Needed) {
-		return false
-	}
-	for i := range a.Sections {
-		x, y := a.Sections[i], b.Sections[i]
-		if x.Name != y.Name || x.Addr != y.Addr || x.Size != y.Size ||
-			x.Perm != y.Perm || !bytes.Equal(x.Data, y.Data) {
-			return false
-		}
-	}
-	for i := range a.Symbols {
-		if a.Symbols[i] != b.Symbols[i] {
-			return false
-		}
-	}
-	for i := range a.Relocs {
-		if a.Relocs[i] != b.Relocs[i] {
-			return false
-		}
-	}
-	for i := range a.Needed {
-		if a.Needed[i] != b.Needed[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func TestMarshalRoundTrip(t *testing.T) {
-	f := sampleFile()
-	data := f.Marshal()
-	got, err := Unmarshal(data)
-	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
-	}
-	if !filesEqual(f, got) {
-		t.Fatalf("round trip mismatch:\n%+v\n%+v", f, got)
-	}
-}
-
-func TestUnmarshalRejectsGarbage(t *testing.T) {
-	if _, err := Unmarshal(nil); err == nil {
-		t.Error("Unmarshal(nil) succeeded")
-	}
-	if _, err := Unmarshal([]byte("ELF?")); err == nil {
-		t.Error("Unmarshal(bad magic) succeeded")
-	}
-	good := sampleFile().Marshal()
-	for _, n := range []int{5, 13, 20, len(good) / 2, len(good) - 1} {
-		if _, err := Unmarshal(good[:n]); err == nil {
-			t.Errorf("Unmarshal(truncated to %d) succeeded", n)
-		}
-	}
-}
-
-// Property: truncating a valid file anywhere never panics and (except
-// at full length) never round-trips silently to the same file.
-func TestQuickTruncationSafety(t *testing.T) {
-	good := sampleFile().Marshal()
-	f := func(cut uint16) bool {
-		n := int(cut) % len(good)
-		_, err := Unmarshal(good[:n])
-		return err != nil
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -91,7 +91,6 @@ type lease struct {
 	start    uint64
 	deadline uint64
 	died     bool // fleet.lease.expire fired: the worker never ran
-	ident    uint32
 	out      ReplicaOutcome
 }
 
@@ -189,14 +188,14 @@ func (c *Controller) crashPoint(detail int) bool {
 		return false
 	}
 	if err := h.Fault(faultinject.SiteFleetControllerCrash, detail); err != nil {
-		c.die("crash site")
+		c.die()
 		return true
 	}
 	return false
 }
 
 // die marks the controller crashed.
-func (c *Controller) die(why string) {
+func (c *Controller) die() {
 	c.mu.Lock()
 	already := c.crashed
 	c.crashed = true
@@ -205,7 +204,6 @@ func (c *Controller) die(why string) {
 	if !already {
 		c.f.obs.Point("fleet.controller.crash", int64(v))
 		c.emit(StepEvent{Kind: "crash", Replica: -1, VClock: v})
-		_ = why
 	}
 }
 
@@ -217,7 +215,7 @@ func (c *Controller) append(r Record) bool {
 		return false
 	}
 	if err := c.j.Append(r); err != nil {
-		c.die("journal append")
+		c.die()
 		return false
 	}
 	c.f.obs.Point("fleet.journal.append", int64(r.Kind))
@@ -376,11 +374,7 @@ func (c *Controller) Run(apply func(r *Replica) (core.Stats, error)) (*RolloutRe
 
 	if c.resumed {
 		// Committed replicas are skipped outright — the acceptance
-		// invariant "resume never repeats a committed rewrite". Their
-		// post-commit checkpoints are content-addressed in the shared
-		// store; a recorded ident that the store no longer holds means
-		// the journal and the store disagree, and the replica is
-		// re-verified like a torn window instead of trusted.
+		// invariant "resume never repeats a committed rewrite".
 		for i := range states {
 			st := &states[i]
 			if st.resolved {
@@ -664,7 +658,7 @@ func (c *Controller) runWave(wi int, wave []int, res *RolloutResult, apply func(
 				note = l.out.Err.Error()
 			}
 			if !c.append(Record{Kind: RecOutcome, Replica: int32(ri), Wave: int32(wi), Attempt: int32(l.step.attempt),
-				Outcome: l.out.Outcome, Ticks: l.out.Ticks, Ident: l.ident, VClock: c.lanes[l.lane],
+				Outcome: l.out.Outcome, Ticks: l.out.Ticks, VClock: c.lanes[l.lane],
 				Mode: mode, Note: note}) {
 				return
 			}
@@ -700,16 +694,6 @@ func (c *Controller) execute(l *lease, apply func(r *Replica) (core.Stats, error
 			out.Outcome = OutcomeRolledBack
 		default:
 			out.Outcome = OutcomeFailed
-		}
-	}
-	if out.Outcome == OutcomeCommitted {
-		// Anchor the commit in the content-addressed store: the
-		// journal's outcome record carries this ident, so a resumed
-		// controller can check convergence without touching the guest.
-		if flat, cerr := r.Cust.Checkpoint(); cerr == nil {
-			if id, derr := c.f.store.Deposit(flat); derr == nil {
-				l.ident = id
-			}
 		}
 	}
 	out.Ticks = r.Machine.Clock() - before

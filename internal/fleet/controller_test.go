@@ -48,11 +48,6 @@ func TestControllerJournalShape(t *testing.T) {
 			if r.Outcome != OutcomeCommitted {
 				t.Fatalf("outcome record %+v in a clean rollout", r)
 			}
-			// Every commit is anchored in the shared store: the recorded
-			// checkpoint ident must be materializable.
-			if r.Ident == 0 || !f.Store().Contains(r.Ident) {
-				t.Fatalf("outcome record %+v: post-commit ident not in store", r)
-			}
 		}
 	}
 	// Waves: canary of 1, then 2+2+1.

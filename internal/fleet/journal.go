@@ -53,8 +53,8 @@ const (
 	// torn window: the controller died after leasing, and resume must
 	// verify the replica instead of trusting the journal.
 	RecIntent
-	// RecOutcome resolves a step: Outcome, Ticks and (for commits) the
-	// post-commit checkpoint Ident deposited in the shared page store.
+	// RecOutcome resolves a step: Outcome and Ticks, the machine-clock
+	// cost of the rewrite.
 	RecOutcome
 	// RecWaveDone closes a wave: Wave is the index, Attempt the
 	// failure count.

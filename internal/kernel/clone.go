@@ -1,5 +1,7 @@
 package kernel
 
+import "github.com/dynacut/dynacut/internal/delf"
+
 // Machine cloning: the fleet layer (internal/fleet) spawns N replica
 // guests from one booted template instead of paying N boots. The clone
 // is a deep copy of all guest-visible state — process table, address
@@ -26,12 +28,12 @@ func (m *Machine) Clone() *Machine {
 			conns:     make(map[uint64]*conn, len(m.net.conns)),
 			nextConn:  m.net.nextConn,
 		},
-		disk: make(map[string][]byte, len(m.disk)),
+		disk: make(map[string]*delf.File, len(m.disk)),
 	}
-	// Disk blobs are immutable once written (WriteFile copies), so the
-	// byte slices can be shared; only the map itself is per-machine.
-	for name, blob := range m.disk {
-		c.disk[name] = blob
+	// Binaries are immutable once built (see AddBinary), so the clone
+	// shares them; only the map itself is per-machine.
+	for name, f := range m.disk {
+		c.disk[name] = f
 	}
 
 	// Network: copy every connection and listener once, preserving the

@@ -35,7 +35,7 @@ func buildCloneFixture(t *testing.T) (*Machine, *Process) {
 	if _, err := hc.Write([]byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	m.WriteFile("prog", []byte{1, 2, 3})
+	m.AddBinary(&delf.File{Name: "prog", Type: delf.TypeExec})
 	m.AdvanceClock(42)
 	return m, p
 }
@@ -55,8 +55,14 @@ func TestCloneDeepCopiesGuestState(t *testing.T) {
 	if err != nil || !bytes.Equal(got, []byte("template")) {
 		t.Fatalf("clone memory = %q, %v", got, err)
 	}
-	if blob, err := c.ReadFile("prog"); err != nil || !bytes.Equal(blob, []byte{1, 2, 3}) {
-		t.Fatalf("clone disk = %v, %v", blob, err)
+	// Binaries are shared; the disk table is per machine.
+	want, _ := m.Binary("prog")
+	if f, err := c.Binary("prog"); err != nil || f != want {
+		t.Fatalf("clone disk = %p, %v; want the template's %p", f, err, want)
+	}
+	c.AddBinary(&delf.File{Name: "cloneonly"})
+	if _, err := m.Binary("cloneonly"); err == nil {
+		t.Fatal("clone disk write leaked into template")
 	}
 
 	// Divergence: writes on either side must not leak to the other.

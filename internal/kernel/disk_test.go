@@ -1,28 +1,28 @@
 package kernel
 
 import (
-	"bytes"
 	"errors"
 	"testing"
+
+	"github.com/dynacut/dynacut/internal/delf"
 )
 
 func TestDiskReadWrite(t *testing.T) {
 	m := NewMachine()
-	if _, err := m.ReadFile("missing"); !errors.Is(err, ErrNoFile) {
-		t.Errorf("ReadFile(missing) err = %v", err)
+	if _, err := m.Binary("missing"); !errors.Is(err, ErrNoFile) {
+		t.Errorf("Binary(missing) err = %v", err)
 	}
-	m.WriteFile("bin", []byte{1, 2, 3})
-	got, err := m.ReadFile("bin")
-	if err != nil || !bytes.Equal(got, []byte{1, 2, 3}) {
-		t.Fatalf("ReadFile = %v, %v", got, err)
+	bin := &delf.File{Name: "bin", Type: delf.TypeExec}
+	m.AddBinary(bin)
+	got, err := m.Binary("bin")
+	if err != nil || got != bin {
+		t.Fatalf("Binary = %p, %v; want %p", got, err, bin)
 	}
-	// The stored copy is isolated from later mutation of the input.
-	src := []byte{9, 9}
-	m.WriteFile("iso", src)
-	src[0] = 0
-	got, _ = m.ReadFile("iso")
-	if got[0] != 9 {
-		t.Error("WriteFile aliased the caller's slice")
+	// A later binary of the same name replaces the earlier one.
+	bin2 := &delf.File{Name: "bin", Type: delf.TypeExec}
+	m.AddBinary(bin2)
+	if got, _ := m.Binary("bin"); got != bin2 {
+		t.Error("AddBinary did not replace the binary of the same name")
 	}
 }
 

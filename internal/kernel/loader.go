@@ -52,11 +52,11 @@ func (m *Machine) Load(exe *delf.File, libs ...*delf.File) (*Process, error) {
 	if exe.Type != delf.TypeExec {
 		return nil, fmt.Errorf("kernel: %s is not an executable", exe.Name)
 	}
-	// Persist the binaries on "disk" so restores can re-materialize
+	// Keep the binaries on "disk" so restores can re-materialize
 	// file-backed pages.
-	m.WriteFile(exe.Name, exe.Marshal())
+	m.AddBinary(exe)
 	for _, lib := range libs {
-		m.WriteFile(lib.Name, lib.Marshal())
+		m.AddBinary(lib)
 	}
 
 	p := m.NewRawProcess(exe.Name, 0)

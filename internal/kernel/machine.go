@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"sort"
 
+	"github.com/dynacut/dynacut/internal/delf"
 	"github.com/dynacut/dynacut/internal/obs"
 )
 
@@ -70,7 +71,7 @@ type Machine struct {
 	syshook   SyscallHook
 	faultHook FaultHook
 	obs       *obs.Observer
-	disk      map[string][]byte // serialized DELF files by name
+	disk      map[string]*delf.File // loaded binaries by name
 
 	// Execution engine selection (see bcache.go). ModeInterpret is the
 	// reference interpreter; ModeTranslate runs through the basic-block
@@ -97,7 +98,7 @@ func NewMachine() *Machine {
 		procs:   map[int]*Process{},
 		nextPID: 0,
 		net:     newNetwork(),
-		disk:    map[string][]byte{},
+		disk:    map[string]*delf.File{},
 	}
 }
 
@@ -230,18 +231,18 @@ func (m *Machine) Clock() uint64 { return m.clock }
 // interruption window (Figure 8).
 func (m *Machine) AdvanceClock(ticks uint64) { m.clock += ticks }
 
-// WriteFile stores a serialized binary on the machine's disk.
-func (m *Machine) WriteFile(name string, data []byte) {
-	m.disk[name] = append([]byte(nil), data...)
-}
+// AddBinary puts f on the machine's disk under f.Name. The disk keeps
+// the pointer, and clones share it: no code mutates a binary once it is
+// built (baseline writes section bytes only into its own copy).
+func (m *Machine) AddBinary(f *delf.File) { m.disk[f.Name] = f }
 
-// ReadFile retrieves a binary from disk.
-func (m *Machine) ReadFile(name string) ([]byte, error) {
-	b, ok := m.disk[name]
+// Binary returns the named binary from the machine's disk.
+func (m *Machine) Binary(name string) (*delf.File, error) {
+	f, ok := m.disk[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrNoFile, name)
 	}
-	return b, nil
+	return f, nil
 }
 
 // Process returns the process with the given PID.

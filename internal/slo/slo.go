@@ -28,15 +28,13 @@
 //     the virtual clock frozen at the hold point (wall-clock waiting
 //     is invisible on the vtick axis).
 //  2. Only when ALL replicas are parked does the controller run. Its
-//     workers own the machines exclusively: every rewrite, restore
-//     and checkpoint deposit happens while the drivers are provably
-//     blocked, and the clock delta it journals is exactly the
-//     rewrite's charged cost.
+//     workers own the machines exclusively: every rewrite and restore
+//     happens while the drivers are provably blocked, and the clock
+//     delta it journals is exactly the rewrite's charged cost.
 //  3. A replica's driver resumes when the controller's dispatch
 //     thread emits that replica's outcome event — after the worker
-//     barrier, so the happens-before edge covers the post-commit
-//     checkpoint too — or when the rollout returns, whichever is
-//     first.
+//     barrier, so the happens-before edge covers the whole rewrite —
+//     or when the rollout returns, whichever is first.
 //
 // Because every replica parks at the same load-timeline offset and
 // resumes exactly its journal span later, the observed service gap
@@ -203,8 +201,8 @@ func RolloutUnderLoad(template *kernel.Machine, rootPID int, fcfg fleet.Config, 
 
 	// The controller's dispatch thread announces each step outcome
 	// after the worker barrier — the earliest point where the rewrite
-	// AND the post-commit checkpoint are done with the machine, so the
-	// earliest safe moment to release the parked driver.
+	// is done with the machine, so the earliest safe moment to release
+	// the parked driver.
 	userOnStep := fcfg.OnStep
 	fcfg.OnStep = func(ev fleet.StepEvent) {
 		switch ev.Kind {
@@ -378,8 +376,7 @@ func summarize(results []*loadgen.Result, horizon uint64) *Report {
 // journalSpans derives each replica's rewrite span from its final
 // outcome record: the controller stamps the intent at the lane start
 // and the outcome at lane start + Ticks, so the span length is
-// exactly the machine-clock cost of the rewrite, checkpoint deposit
-// included.
+// exactly the machine-clock cost of the rewrite.
 func journalSpans(records []fleet.Record) []Span {
 	last := map[int]Span{}
 	var order []int

@@ -320,6 +320,16 @@ func (s *Supervisor) evict(now uint64) {
 	s.samples = keep
 }
 
+// forget takes n resolved traps back out of the storm window, newest
+// first.
+func (s *Supervisor) forget(n uint64) {
+	for i := len(s.samples) - 1; i >= 0 && n > 0; i-- {
+		d := min(n, s.samples[i].hits)
+		s.samples[i].hits -= d
+		n -= d
+	}
+}
+
 func (s *Supervisor) windowHits(now uint64) uint64 {
 	var n uint64
 	for _, sm := range s.samples {
@@ -332,7 +342,8 @@ func (s *Supervisor) windowHits(now uint64) uint64 {
 
 // healOnce adopts the guest's false-removal log if it is non-empty:
 // each healed address is accepted as wanted code and charged as a
-// strike against the feature that owned it. A fault or error here
+// strike against the feature that owned it, and its trap leaves the
+// storm window. A fault or error here
 // leaves the log intact, so the next step retries.
 func (s *Supervisor) healOnce(now uint64) bool {
 	_, seen, err := s.cust.FalseRemovalsSeen()
@@ -365,6 +376,9 @@ func (s *Supervisor) healOnce(now uint64) bool {
 			s.strike(name, now)
 		}
 	}
+	// Each adopted address was one trap the verifier already healed:
+	// it is charged as a strike above, not as storm pressure.
+	s.forget(uint64(len(healed)))
 	s.point("supervise.heal", int64(len(healed)))
 	return len(healed) > 0
 }

@@ -479,11 +479,48 @@ func TestWatchdogDrivesSupervisor(t *testing.T) {
 	if fl, err := cust.FalseRemovals(); err != nil || len(fl) != 0 {
 		t.Fatalf("watchdog-driven adoption missing: %d entries (err=%v)", len(fl), err)
 	}
-	// Each adopted address is a strike; more than breakerThreshold of
-	// them open the breaker, whether or not the storm rung re-enabled
-	// the feature since (which zeroes the strikes).
-	if br, ok := sup.Status().Breakers["post"]; !ok || br.Trips == 0 {
+	// Each adopted address is a strike against the feature.
+	if br, ok := sup.Status().Breakers["post"]; !ok || br.Strikes == 0 {
 		t.Errorf("watchdog-driven heal did not charge the feature's breaker: %+v ok=%v", br, ok)
+	}
+}
+
+// TestStormIgnoresAdoptedHeals: a single verifier-mode POST over the
+// mis-profiled blocks traps once per block, and the watchdog polls
+// several times inside it. The verifier healed every one of those
+// traps and the supervisor adopts them in the same step, so they are
+// strikes against the feature, not a storm: the ladder must not reach
+// the re-enable rung. The strikes may still trip the breaker.
+func TestStormIgnoresAdoptedHeals(t *testing.T) {
+	b := boot(t, webserv.Config{Name: "lighttpd", Port: 9208})
+	blocks := b.profile(t, []string{"GET /\n", "HEAD /\n"}, []string{"POST /\n"})
+	if len(blocks) <= stormThreshold {
+		t.Fatalf("only %d mis-profiled blocks; the POST cannot make a storm-sized burst", len(blocks))
+	}
+	cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t), Verifier: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sup := New(b.m, cust, Config{})
+	if err := sup.Attach(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sup.DisableFeature("post", blocks, core.PolicyBlockEntry); err != nil {
+		t.Fatal(err)
+	}
+	if got := b.request(t, "POST /\n"); !strings.Contains(got, "200") {
+		t.Fatalf("POST -> %q", got)
+	}
+	b.assertGET(t)
+	st := sup.Status()
+	if st.Level >= 2 {
+		t.Fatalf("one healed POST reached degradation level %d; want below the re-enable rung (2)", st.Level)
+	}
+	if fl, err := cust.FalseRemovals(); err != nil || len(fl) != 0 {
+		t.Fatalf("heals not adopted: %d entries (err=%v)", len(fl), err)
+	}
+	if br := st.Breakers["post"]; br.Trips == 0 {
+		t.Errorf("adopted strikes did not trip the breaker: %+v", br)
 	}
 }
 
