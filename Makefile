@@ -23,7 +23,7 @@ race:
 # trace. Runs vet first and the coverage floor last: the chaos gate is
 # also the lint and coverage gate.
 chaos: vet
-	$(GO) test -race -run 'Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|CountPatched|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|TLB' \
+	$(GO) test -race -run 'Chaos|Rollback|Rolls|Transient|Retried|Revalidated|Corrupt|BitFlip|Truncation|Observer|Overflow|Supervisor|Breaker|Storm|Fleet|Controller|Journal|Lease|MidWave|Pristine|PageStore|LivePatch|InstallHandler|CountPatched|Attest|Scrub|Quarantine|Repair|Lockstep|Translate|BlockCache|FlipBits|TLB|Reap' \
 		./internal/core/ ./internal/criu/ ./internal/faultinject/ ./internal/fleet/ ./internal/kernel/ ./internal/obs/ ./internal/supervise/ .
 	$(GO) test -race -run 'Driver|Pool|Merge|Schedule|Ramp|Poisson|TraceCSV|Histogram|Mix|RolloutUnderLoad|SteadyState|HaltReleases|ConfigValidation|LivePatch|Scrub' \
 		./internal/loadgen/ ./internal/slo/

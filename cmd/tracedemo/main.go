@@ -3,8 +3,8 @@
 // human-readable phase summary and (optionally) writes the JSONL
 // trace. It is the quickest way to see the rewrite pipeline's
 // timeline: checkpoint → edit → validate → kill → restore (fails,
-// injected) → rollback → retry → commit, with every phase and fault
-// stamped on the machine's virtual clock.
+// injected) → rollback, then the caller's second call → commit, with
+// every phase and fault stamped on the machine's virtual clock.
 //
 // Usage:
 //
@@ -12,6 +12,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -40,23 +41,30 @@ func run(out string, seed int64) error {
 		return err
 	}
 
-	// Arm a transient restore fault: the first restore attempt fails
-	// mid-transaction, forcing a rollback and a retry — the most
-	// informative timeline a single rewrite can produce.
+	// Arm a transient restore fault: the first rewrite's restore fails
+	// mid-transaction and rolls back, and the second call commits — the
+	// most informative timeline a short run can produce.
 	in := dynacut.NewFaultInjector(seed)
 	in.FailTransient("criu.restore.", 1, 1)
 	sess.Machine.SetFaultHook(in)
 
 	o := dynacut.NewObserver(0)
 	cust, err := dynacut.NewCustomizer(sess.Machine, sess.PID(), dynacut.CustomizerOptions{
-		RedirectTo:  errAddr,
-		MaxAttempts: 2,
-		Observer:    o,
+		RedirectTo: errAddr,
+		Observer:   o,
 	})
 	if err != nil {
 		return err
 	}
+	// Rewrite makes one pass. A rolled-back rewrite leaves the guest
+	// serving its pre-edit code, so retrying is just calling again.
+	calls := 1
 	stats, err := cust.DisableBlocks("webdav-write", blocks, dynacut.PolicyBlockEntry)
+	if errors.Is(err, dynacut.ErrRolledBack) {
+		fmt.Printf("rewrite rolled back: %v\n", err)
+		calls++
+		stats, err = cust.DisableBlocks("webdav-write", blocks, dynacut.PolicyBlockEntry)
+	}
 	if err != nil {
 		return fmt.Errorf("rewrite: %w", err)
 	}
@@ -68,8 +76,8 @@ func run(out string, seed int64) error {
 		fmt.Printf("GET after customization -> %q\n", firstLine(resp))
 	}
 
-	fmt.Printf("\nrewrite committed: attempts=%d rolledBack=%v pagesDumped=%d injectedFaults=%d\n\n",
-		stats.Attempts, stats.RolledBack, stats.PagesDumped, in.Injected())
+	fmt.Printf("\nrewrite committed: calls=%d rolledBack=%v pagesDumped=%d injectedFaults=%d\n\n",
+		calls, stats.RolledBack, stats.PagesDumped, in.Injected())
 	fmt.Println(o.Summary())
 
 	if out != "" {

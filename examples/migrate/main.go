@@ -4,8 +4,8 @@
 // image blob, shipped to machine B together with its binaries, and
 // restored there. The customization travels with the image: the
 // restored server still answers 403 to PUT without ever having been
-// rewritten on B, and it resumes in a fraction of its original boot
-// time.
+// rewritten on B. Both the restore and the original boot are timed;
+// which one is faster depends on how much init code the guest runs.
 package main
 
 import (
@@ -81,8 +81,8 @@ func run() error {
 		return err
 	}
 	restoreTime := time.Since(restoreStart)
-	fmt.Printf("machine B: restored in %v (%.1fx faster than machine A's boot)\n",
-		restoreTime, float64(bootTime)/float64(restoreTime))
+	fmt.Printf("machine B: restored in %v; machine A booted in %v (boot/restore = %.2f)\n",
+		restoreTime, bootTime, float64(bootTime)/float64(restoreTime))
 
 	// --- The customization travelled with the image -------------------
 	probe := func(req string) string {

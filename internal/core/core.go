@@ -72,9 +72,9 @@ type Options struct {
 	Verifier bool
 	// TicksPerSecond, when nonzero, converts the wall-clock rewrite
 	// time into virtual clock ticks charged to the machine — the
-	// service-interruption window of Figure 8. With retries, every
-	// attempt's time is charged, so Figure 8-style interruption
-	// numbers stay honest.
+	// service-interruption window of Figure 8. A rolled-back rewrite's
+	// downtime is charged too, so Figure 8-style interruption numbers
+	// stay honest.
 	TicksPerSecond uint64
 	// MaxChargeTicks, when nonzero, caps the virtual ticks charged per
 	// rewrite. The measured downtime is wall time, so a descheduled
@@ -82,10 +82,6 @@ type Options struct {
 	// magnitude; timeline experiments set a cap a few buckets wide so
 	// a scheduling outlier cannot swallow the rest of the timeline.
 	MaxChargeTicks uint64
-	// MaxAttempts bounds how many times Rewrite retries the whole
-	// edit/restore cycle on failure before giving up (each failed
-	// attempt is rolled back first). 0 or 1 = no retry.
-	MaxAttempts int
 	// HealthCheck, when non-nil, is run after every restore with the
 	// new root PID, before the transaction commits; a non-nil error
 	// rolls the guest back to the pre-edit images. Session wires a
@@ -93,11 +89,11 @@ type Options struct {
 	// service.
 	HealthCheck func(m *kernel.Machine, pid int) error
 	// BeforeCommit, when non-nil, runs immediately before the commit
-	// point of every attempt (killing the originals). A non-nil error
-	// aborts the transaction with ErrAborted and the guest untouched —
-	// the last moment an external controller (a halted fleet rollout)
-	// can stop an in-flight rewrite without paying a rollback.
-	BeforeCommit func(attempt int) error
+	// point (killing the originals). A non-nil error aborts the
+	// transaction with ErrAborted and the guest untouched — the last
+	// moment an external controller (a halted fleet rollout) can stop
+	// an in-flight rewrite without paying a rollback.
+	BeforeCommit func() error
 	// Observer, when non-nil, receives a typed event for every rewrite
 	// phase (checkpoint, edit, validate, kill, restore, health,
 	// rollback) plus pipeline counters. New also installs it as the
@@ -114,8 +110,7 @@ type Options struct {
 
 // Stats reports the cost of one rewrite cycle, matching the segments
 // of Figures 6 and 7 (checkpoint, code update, handler insertion,
-// restore). With retries the editing and restore segments accumulate
-// across attempts, so the total still reflects the real interruption.
+// restore).
 type Stats struct {
 	Checkpoint    time.Duration
 	CodeUpdate    time.Duration
@@ -125,7 +120,7 @@ type Stats struct {
 	// Downtime is the measured service-interruption window: the
 	// wall-clock time from the commit point (killing the originals to
 	// free their ports) until the replacement tree was restored —
-	// accumulated across attempts, including rollback restores. The
+	// including the rollback restore after a failure. The
 	// pre-commit segments (checkpoint, edit, handler insertion,
 	// validation) run while the guest still serves and are not downtime.
 	Downtime time.Duration
@@ -139,7 +134,9 @@ type Stats struct {
 	PagesSkipped  int
 	BlocksPatched int
 	PagesUnmapped int
-	// Attempts is how many edit/restore cycles ran (1 = no retry).
+	// Attempts is 1 once the edit/restore pass ran (0 when the
+	// checkpoint failed first). Rewrite makes one pass; retrying is the
+	// caller's job.
 	Attempts int
 	// LivePatched reports the rewrite took the live-patch fast path:
 	// the guest was never killed, Downtime is zero, and the text bytes
@@ -229,8 +226,8 @@ type Customizer struct {
 type pageRange struct{ start, end uint64 }
 
 // editState is the bookkeeping an edit closure mutates. Rewrite saves
-// one copy before the first attempt, hands every attempt a fresh copy
-// of it, and puts it back when the transaction does not commit.
+// one copy before the edit and puts it back when the transaction does
+// not commit.
 type editState struct {
 	handler *Handler
 	// saved[addr] = original bytes, for re-enabling features.
@@ -309,23 +306,23 @@ func (c *Customizer) Handler() *Handler { return c.handler }
 // customization goes through it, and the target's live TCP
 // connections survive.
 //
-// The cycle is transactional. The freshly dumped images are validated
-// and a pristine serialized copy is kept before anything is killed;
-// every attempt edits a fresh decode of that copy. Failures before
-// the commit point (handler injection, the edit itself, validation of
-// the edited images) leave the original processes untouched. The
-// commit point is killing the originals to free their ports; past it,
-// a failed restore or a failed post-restore health check rolls the
-// guest back to the pristine images, so it keeps serving with its
-// live connections intact. Options.MaxAttempts > 1 retries the whole
-// cycle after any rolled-back (or pre-commit) failure.
+// The cycle is one transaction. The freshly dumped images are
+// validated and a pristine serialized copy is kept before anything is
+// killed; the edit works on a fresh decode of that copy. Failures
+// before the commit point (handler injection, the edit itself,
+// validation of the edited images) leave the original processes
+// untouched. The commit point is killing and removing the originals to
+// free their ports; past it, a failed restore or a failed
+// post-restore health check rolls the guest back to the pristine
+// images once, so it keeps serving with its live connections intact.
+// Rewrite never retries: a caller that wants another try calls it
+// again.
 func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stats, error) {
 	var stats Stats
 	p, err := c.machine.Process(c.pid)
 	if err != nil || p.Exited() {
 		return stats, ErrDead
 	}
-	rootOld := c.pid
 
 	// Incremental checkpoint: dump only the pages dirtied since the
 	// last committed images. Dump's fault prepass guarantees a failed
@@ -343,7 +340,6 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	stats.ImageBytes = set.TotalBytes()
 	stats.PagesDumped = set.PagesDumped
 	stats.PagesSkipped = set.PagesSkipped
-	defer func() { c.charge(stats) }()
 
 	// Validate while the guest is still running: a bad image set must
 	// be rejected before it can cost us a live process.
@@ -361,219 +357,181 @@ func (c *Customizer) Rewrite(edit func(ed *crit.Editor, pids []int) error) (Stat
 	// The guest's memory is, as of this dump, exactly what the set
 	// describes — so the set is the parent for the next incremental
 	// dump, whatever else this transaction does (dirty tracking
-	// restarted at the dump). Committing below upgrades it to the
+	// restarted at the dump). Committing upgrades it to the
 	// PID-remapped post-edit images.
 	c.parent = set
-	blobParent := set.Parent // what a decode of the pristine blob binds to
 
+	// Edit closures mutate the edit state: snapshot it so a transaction
+	// that does not commit leaks nothing.
+	snap := c.editState.clone()
+	stats.Attempts = 1
+	err = c.transact(&stats, set, edit)
+	c.charge(stats)
+	if err != nil {
+		c.editState = snap
+	}
+	return stats, err
+}
+
+// transact is Rewrite's pass after the checkpoint: decode → edit →
+// validate → commit point → restore → health check, with one rollback
+// to the pristine images if anything past the commit point fails.
+// Every phase reports attempt 1.
+func (c *Customizer) transact(stats *Stats, set *criu.ImageSet, edit func(ed *crit.Editor, pids []int) error) error {
+	rootOld := c.pid
 	// The pristine pre-edit images are the rollback anchor. Keeping
 	// them serialized (and re-decoding per use) guarantees no edit can
 	// alias into them; the blob passes through the machine's fault
 	// hook, modeling corruption of the image files on the tmpfs
 	// between dump and restore.
 	pristine := c.machine.MutateBlob(faultinject.SitePristine, set.Marshal())
+	blobParent := set.Parent // what a decode of the pristine blob binds to
 
-	// Edit closures mutate the edit state. Snapshot it so every attempt
-	// starts clean and a transaction that does not commit leaks nothing.
-	snap := c.editState.clone()
-
-	maxAttempts := c.opts.MaxAttempts
-	if maxAttempts < 1 {
-		maxAttempts = 1
+	endDecode := c.span("decode", 1)
+	work, err := decodePristine(pristine, blobParent)
+	endDecode(err)
+	if err != nil {
+		// The serialized images are corrupt; the checksum caught it
+		// before anything was killed. The guest is untouched.
+		return fmt.Errorf("image decode: %w", err)
 	}
-	curPIDs := append([]int(nil), set.PIDs...) // the live guest's PIDs
-	rolledBack := false                        // a rollback restore has run
-	var lastErr error
+	ed := crit.NewEditor(work, c.machine)
 
-	for attempt := 1; attempt <= maxAttempts; attempt++ {
-		stats.Attempts = attempt
-		c.editState = snap.clone()
-
-		endDecode := c.span("decode", attempt)
-		work, err := criu.Unmarshal(pristine)
-		if err == nil {
-			// A delta blob comes back detached; re-attach its ancestry.
-			// An identity mismatch means the blob's parent reference was
-			// corrupted in flight — caught like any other corruption.
-			err = work.BindParent(blobParent)
-		}
-		endDecode(err)
-		if err != nil {
-			// The serialized images are corrupt; the checksum caught it
-			// before anything was killed. The guest is untouched, and
-			// retrying a deterministically bad blob is pointless.
-			stats.RolledBack = rolledBack
-			return stats, fmt.Errorf("image decode: %w", err)
-		}
-		ed := crit.NewEditor(work, c.machine)
-
-		// Ensure the handler library is present in the image set:
-		// injection survives re-dumps of restored procs (the library
-		// VMAs were dumped), so only re-inject when absent.
-		t1 := time.Now()
-		endEdit := c.span("edit", attempt)
-		err = c.ensureHandler(ed, work.PIDs)
-		stats.InsertHandler += time.Since(t1)
-		if err != nil {
-			endEdit(err)
-			lastErr = err
-			continue // guest untouched; retry or give up below
-		}
-
+	// Ensure the handler library is present in the image set:
+	// injection survives re-dumps of restored procs (the library
+	// VMAs were dumped), so only re-inject when absent.
+	t1 := time.Now()
+	endEdit := c.span("edit", 1)
+	err = c.ensureHandler(ed, work.PIDs)
+	stats.InsertHandler = time.Since(t1)
+	if err == nil {
 		t2 := time.Now()
-		err = edit(ed, work.PIDs)
-		stats.CodeUpdate += time.Since(t2)
-		endEdit(err)
-		if err != nil {
-			lastErr = fmt.Errorf("rewrite: %w", err)
-			continue // guest untouched
+		if err = edit(ed, work.PIDs); err != nil {
+			err = fmt.Errorf("rewrite: %w", err)
 		}
-
-		// The edited images must still describe a restorable process
-		// tree — checked while the originals are alive.
-		endVal := c.span("validate", attempt)
-		err = work.Validate(c.machine)
-		endVal(err)
-		if err != nil {
-			lastErr = fmt.Errorf("rewrite: %w", err)
-			continue // guest untouched
-		}
-
-		// Last exit before the commit point: an external controller (a
-		// fleet rollout that halted) can still abort with the guest
-		// untouched. Bookkeeping is restored to the pre-rewrite snapshot
-		// since ensureHandler/edit already mutated it this attempt.
-		if c.opts.BeforeCommit != nil {
-			if err := c.opts.BeforeCommit(attempt); err != nil {
-				c.editState = snap
-				stats.RolledBack = rolledBack
-				c.point("rewrite.abort", int64(attempt))
-				return stats, fmt.Errorf("%w: %v", ErrAborted, err)
-			}
-		}
-
-		// Commit point: kill the originals so their ports free up for
-		// the restore. From here on, failure means rollback, and the
-		// guest is down until a restore (of the edited images or, on
-		// rollback, the pristine ones) completes — that window is the
-		// measured Downtime.
-		// (Kill can only fail for an already-gone process, which holds
-		// no ports; a genuinely stuck port surfaces as a restore failure
-		// below.)
-		tKill := time.Now()
-		endKill := c.span("kill", attempt)
-		for _, pid := range curPIDs {
-			c.machine.Kill(pid)
-		}
-		endKill(nil)
-
-		t3 := time.Now()
-		endRestore := c.span("restore", attempt)
-		procs, pidMap, newRoot, err := c.restoreTree(work, rootOld)
-		endRestore(err)
-		stats.Restore += time.Since(t3)
-		if err != nil {
-			// Restore is atomic: its partial procs are already gone.
-			restoreErr := fmt.Errorf("%w (attempt %d): %w", ErrRestoreFailed, attempt, err)
-			endRB := c.span("rollback", attempt)
-			var rbErr error
-			curPIDs, rbErr = c.rollbackOr(&stats, pristine, blobParent, rootOld, restoreErr)
-			endRB(rbErr)
-			stats.Downtime += time.Since(tKill) // down from kill through the rollback restore
-			if rbErr != nil {
-				return stats, rbErr
-			}
-			rolledBack = true
-			lastErr = restoreErr
-			continue
-		}
-		stats.Downtime += time.Since(tKill)
-
-		t4 := time.Now()
-		endHealth := c.span("health", attempt)
-		hcErr := c.healthCheck(newRoot, procs)
-		endHealth(hcErr)
-		stats.HealthCheck += time.Since(t4)
-		if hcErr != nil {
-			// Tear down the unhealthy restored tree, then roll back. The
-			// guest is down again from the teardown until the rollback
-			// restore completes.
-			tDown := time.Now()
-			c.teardown(procs)
-			endRB := c.span("rollback", attempt)
-			var rbErr error
-			curPIDs, rbErr = c.rollbackOr(&stats, pristine, blobParent, rootOld, hcErr)
-			endRB(rbErr)
-			stats.Downtime += time.Since(tDown)
-			if rbErr != nil {
-				return stats, rbErr
-			}
-			rolledBack = true
-			lastErr = fmt.Errorf("health check (attempt %d): %w", attempt, hcErr)
-			continue
-		}
-
-		// Committed. The restored memory mirrors the edited images
-		// exactly (restore resets dirty tracking), so they — re-keyed to
-		// the live PIDs — are the parent for the next checkpoint.
-		c.pid = newRoot
-		c.parent = work.RemapPIDs(pidMap)
-		stats.RolledBack = false
-		c.point("rewrite.commit", int64(attempt))
-		// The restored text is the new expected state: reseal the
-		// attestation oracle against it (pristine digests stay in each
-		// page's version chain).
-		_ = c.sealOracle(nil)
-		if o := c.opts.Observer; o != nil {
-			o.Add("core.commits", 1)
-		}
-		return stats, nil
+		stats.CodeUpdate = time.Since(t2)
+	}
+	endEdit(err)
+	if err != nil {
+		return err // guest untouched
 	}
 
-	// Every attempt failed. If the last failure was past the commit
-	// point the guest is running the rolled-back pristine images;
-	// otherwise it was never touched. Either way the bookkeeping must
-	// match the pre-rewrite snapshot, not the dead attempt's edits.
-	c.editState = snap
-	stats.RolledBack = rolledBack
-	if rolledBack {
-		return stats, fmt.Errorf("%w (after %d attempts): %w", ErrRolledBack, stats.Attempts, lastErr)
+	// The edited images must still describe a restorable process
+	// tree — checked while the originals are alive.
+	endVal := c.span("validate", 1)
+	err = work.Validate(c.machine)
+	endVal(err)
+	if err != nil {
+		return fmt.Errorf("rewrite: %w", err) // guest untouched
 	}
-	return stats, lastErr
+
+	// Last exit before the commit point: an external controller (a
+	// fleet rollout that halted) can still abort with the guest
+	// untouched.
+	if c.opts.BeforeCommit != nil {
+		if err := c.opts.BeforeCommit(); err != nil {
+			c.point("rewrite.abort", 1)
+			return fmt.Errorf("%w: %v", ErrAborted, err)
+		}
+	}
+
+	// Commit point: kill and remove the originals so their ports free
+	// up for the restore. From here on, failure means rollback, and the
+	// guest is down until a restore (of the edited images or, on
+	// rollback, the pristine ones) completes — that window is the
+	// measured Downtime. A genuinely stuck port surfaces as a restore
+	// failure below.
+	tKill := time.Now()
+	endKill := c.span("kill", 1)
+	olds := make([]*kernel.Process, 0, len(set.PIDs))
+	for _, pid := range set.PIDs {
+		if p, err := c.machine.Process(pid); err == nil {
+			olds = append(olds, p)
+		}
+	}
+	c.machine.Reap(olds)
+	endKill(nil)
+
+	t3 := time.Now()
+	endRestore := c.span("restore", 1)
+	procs, pidMap, newRoot, err := c.restoreTree(work, rootOld)
+	endRestore(err)
+	stats.Restore = time.Since(t3)
+	if err != nil {
+		// Restore is atomic: its partial procs are already gone.
+		return c.rollback(stats, pristine, blobParent, rootOld, tKill, fmt.Errorf("%w: %w", ErrRestoreFailed, err))
+	}
+	stats.Downtime = time.Since(tKill)
+
+	t4 := time.Now()
+	endHealth := c.span("health", 1)
+	err = c.healthCheck(newRoot, procs)
+	endHealth(err)
+	stats.HealthCheck = time.Since(t4)
+	if err != nil {
+		// Remove the unhealthy restored tree, then roll back. The guest
+		// is down again from here until the rollback restore completes.
+		tDown := time.Now()
+		c.machine.Reap(procs)
+		return c.rollback(stats, pristine, blobParent, rootOld, tDown, fmt.Errorf("health check: %w", err))
+	}
+
+	// Committed. The restored memory mirrors the edited images
+	// exactly (restore resets dirty tracking), so they — re-keyed to
+	// the live PIDs — are the parent for the next checkpoint.
+	c.pid = newRoot
+	c.parent = work.RemapPIDs(pidMap)
+	c.point("rewrite.commit", 1)
+	// The restored text is the new expected state: reseal the
+	// attestation oracle against it (pristine digests stay in each
+	// page's version chain).
+	_ = c.sealOracle(nil)
+	if o := c.opts.Observer; o != nil {
+		o.Add("core.commits", 1)
+	}
+	return nil
 }
 
-// rollbackOr restores the pristine pre-edit images after a post-commit
-// failure (cause). On success it returns the new live PIDs and updates
-// c.pid; the incremental-dump parent is invalidated either way — a
-// rolled-back transaction forces the next checkpoint to be a full
-// dump. If the rollback restore itself fails the guest is lost: it
-// marks the transaction dead and returns an ErrRollbackFailed error
-// carrying both failures.
-func (c *Customizer) rollbackOr(stats *Stats, pristine []byte, blobParent *criu.ImageSet, rootOld int, cause error) ([]int, error) {
-	if o := c.opts.Observer; o != nil {
-		o.Add("core.rollbacks", 1)
-	}
-	c.parent = nil
+// decodePristine decodes the pristine blob and re-attaches a delta
+// blob's ancestry. An identity mismatch means the blob's parent
+// reference was corrupted in flight — caught like any other corruption.
+func decodePristine(pristine []byte, blobParent *criu.ImageSet) (*criu.ImageSet, error) {
 	set, err := criu.Unmarshal(pristine)
 	if err == nil {
 		err = set.BindParent(blobParent)
 	}
+	return set, err
+}
+
+// rollback restores the pristine pre-edit images after a post-commit
+// failure (cause), adding the time since down to the downtime. The
+// incremental-dump parent is invalidated either way — a rolled-back
+// transaction forces the next checkpoint to be a full dump. It returns
+// an ErrRolledBack error carrying cause, or, if the rollback restore
+// itself fails and the guest is lost, an ErrRollbackFailed error
+// carrying both failures.
+func (c *Customizer) rollback(stats *Stats, pristine []byte, blobParent *criu.ImageSet, rootOld int, down time.Time, cause error) error {
+	endRB := c.span("rollback", 1)
+	if o := c.opts.Observer; o != nil {
+		o.Add("core.rollbacks", 1)
+	}
+	c.parent = nil
+	set, err := decodePristine(pristine, blobParent)
 	if err == nil {
-		var procs []*kernel.Process
 		var root int
-		if procs, _, root, err = c.restoreTree(set, rootOld); err == nil {
+		if _, _, root, err = c.restoreTree(set, rootOld); err == nil {
 			c.pid = root
-			pids := make([]int, len(procs))
-			for i, p := range procs {
-				pids[i] = p.PID()
-			}
 			// The rolled-back pristine text is the expected state now.
 			_ = c.sealOracle(nil)
-			return pids, nil
 		}
 	}
-	stats.RolledBack = false
-	return nil, fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
+	endRB(err)
+	stats.Downtime += time.Since(down)
+	if err != nil {
+		return fmt.Errorf("%w: %v (while recovering from: %v)", ErrRollbackFailed, err, cause)
+	}
+	stats.RolledBack = true
+	return fmt.Errorf("%w: %w", ErrRolledBack, cause)
 }
 
 // restoreTree restores set and returns the restored processes, the
@@ -591,14 +549,6 @@ func (c *Customizer) restoreTree(set *criu.ImageSet, oldRoot int) ([]*kernel.Pro
 	return procs, pidMap, root, nil
 }
 
-// teardown kills and removes procs, children before parents.
-func (c *Customizer) teardown(procs []*kernel.Process) {
-	for i := len(procs) - 1; i >= 0; i-- {
-		c.machine.Kill(procs[i].PID())
-		c.machine.Remove(procs[i].PID())
-	}
-}
-
 // RestoreImages replaces the live guest with set outside the rewrite
 // cycle: every process on the machine is torn down, set is restored,
 // and the customizer is rebound (see Rebind) to the restored image of
@@ -607,7 +557,7 @@ func (c *Customizer) teardown(procs []*kernel.Process) {
 // never cost the live guest. After a failed restore the machine holds
 // no live guest.
 func (c *Customizer) RestoreImages(set *criu.ImageSet, oldRoot int) error {
-	c.teardown(c.machine.Processes())
+	c.machine.Reap(c.machine.Processes())
 	_, _, root, err := c.restoreTree(set, oldRoot)
 	if err != nil {
 		return err
@@ -640,8 +590,8 @@ func (c *Customizer) healthCheck(root int, procs []*kernel.Process) error {
 }
 
 // charge converts the accumulated service interruption into virtual
-// clock ticks (the Figure 8 interruption window). Failed attempts are
-// charged too: their downtime was real. The conversion rounds to the
+// clock ticks (the Figure 8 interruption window). A rolled-back
+// rewrite is charged too: its downtime was real. The conversion rounds to the
 // nearest tick and carries the sub-tick remainder to the next rewrite,
 // so many small interruptions cannot each truncate to zero.
 func (c *Customizer) charge(stats Stats) {
@@ -700,7 +650,6 @@ func (c *Customizer) DisableBlocks(name string, blocks []coverage.AbsBlock, poli
 	}
 	var applied Stats
 	stats, err := c.Rewrite(func(ed *crit.Editor, pids []int) error {
-		applied = Stats{} // the closure re-runs on retried attempts
 		for _, pid := range pids {
 			if err := c.applyPolicy(ed, pid, blocks, policy, &applied); err != nil {
 				return err
@@ -865,7 +814,6 @@ func (c *Customizer) EnableAll() (Stats, error) {
 func (c *Customizer) enable(names []string) (Stats, error) {
 	patched := 0
 	stats, err := c.Rewrite(func(ed *crit.Editor, pids []int) error {
-		patched = 0 // the closure re-runs on retried attempts
 		for _, pid := range pids {
 			for _, name := range names {
 				for _, b := range c.disabled[name] {

@@ -439,7 +439,7 @@ func TestBeforeCommitAbortsWithGuestUntouched(t *testing.T) {
 	halted := true
 	c, err := New(tb.m, tb.proc.PID(), Options{
 		RedirectTo: tb.errPathAddr(t),
-		BeforeCommit: func(attempt int) error {
+		BeforeCommit: func() error {
 			if halted {
 				return errors.New("rollout halted")
 			}

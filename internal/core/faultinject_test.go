@@ -222,8 +222,8 @@ func TestRollbackPreservesLiveConnectionPerPolicy(t *testing.T) {
 	}
 }
 
-// TestTransientFaultRetriedToCommit: MaxAttempts lets a transient
-// restore fault roll back once and then commit on the retry.
+// TestTransientFaultRetriedToCommit: a transient restore fault rolls
+// the first rewrite back once; the caller's second call commits.
 func TestTransientFaultRetriedToCommit(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 9150})
 	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
@@ -231,19 +231,20 @@ func TestTransientFaultRetriedToCommit(t *testing.T) {
 	in.FailTransient(faultinject.PrefixRestore, 1, 1) // first restore step only
 	tb.m.SetFaultHook(in)
 	defer tb.m.SetFaultHook(nil)
-	c, err := New(tb.m, tb.proc.PID(), Options{
-		RedirectTo:  tb.errPathAddr(t),
-		MaxAttempts: 2,
-	})
+	c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
+	if !errors.Is(err, ErrRolledBack) || !errors.Is(err, ErrRestoreFailed) || !stats.RolledBack {
+		t.Fatalf("first call: err=%v RolledBack=%v, want a rolled-back restore failure", err, stats.RolledBack)
+	}
+	stats, err = c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
 	if err != nil {
 		t.Fatalf("retry did not rescue the transient fault: %v", err)
 	}
-	if stats.Attempts != 2 {
-		t.Errorf("Attempts = %d, want 2", stats.Attempts)
+	if stats.Attempts != 1 {
+		t.Errorf("Attempts = %d, want 1", stats.Attempts)
 	}
 	if stats.RolledBack {
 		t.Error("RolledBack set on a committed transaction")
@@ -268,19 +269,20 @@ func TestTransientHealthFaultRetried(t *testing.T) {
 	in.FailTransient(faultinject.SiteHealth, 1, 1)
 	tb.m.SetFaultHook(in)
 	defer tb.m.SetFaultHook(nil)
-	c, err := New(tb.m, tb.proc.PID(), Options{
-		RedirectTo:  tb.errPathAddr(t),
-		MaxAttempts: 3,
-	})
+	c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
+	if !errors.Is(err, ErrRolledBack) || !stats.RolledBack {
+		t.Fatalf("first call: err=%v RolledBack=%v, want ErrRolledBack/true", err, stats.RolledBack)
+	}
+	stats, err = c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
 	if err != nil {
 		t.Fatalf("retry did not rescue the health fault: %v", err)
 	}
-	if stats.Attempts != 2 || stats.RolledBack {
-		t.Errorf("stats = %+v, want Attempts=2 RolledBack=false", stats)
+	if stats.Attempts != 1 || stats.RolledBack {
+		t.Errorf("stats = %+v, want Attempts=1 RolledBack=false", stats)
 	}
 	if stats.HealthCheck <= 0 {
 		t.Error("HealthCheck duration not recorded")

@@ -188,7 +188,7 @@ func (c *Customizer) livePatch(name string, blocks []coverage.AbsBlock, policy P
 	// guest's pristine text restored — ErrAborted, not a fallback (the
 	// transaction would abort at the same gate).
 	if c.opts.BeforeCommit != nil {
-		if aerr := c.opts.BeforeCommit(1); aerr != nil {
+		if aerr := c.opts.BeforeCommit(); aerr != nil {
 			undo.unwind()
 			c.point("rewrite.abort", 1)
 			return stats, "", fmt.Errorf("%w: %v", ErrAborted, aerr)

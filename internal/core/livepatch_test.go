@@ -302,7 +302,7 @@ func TestLivePatchFallbackLadder(t *testing.T) {
 func TestLivePatchAbortUnwindsText(t *testing.T) {
 	halted := true
 	tb, blocks, c := liveTestbed(t, webserv.Config{Name: "lighttpd", Port: 9320}, Options{})
-	c.opts.BeforeCommit = func(attempt int) error {
+	c.opts.BeforeCommit = func() error {
 		if halted {
 			return errors.New("rollout halted")
 		}

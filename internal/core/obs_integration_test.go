@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -208,7 +209,8 @@ func TestChaosObserverEventsMatchInjections(t *testing.T) {
 // TestObserverTraceReconstructsTimeline is the acceptance test for
 // the tracing pipeline: a rewrite under transient fault injection
 // produces a JSONL trace that reconstructs the full phase timeline —
-// failed restore, rollback, retry, commit — and two identical runs
+// failed restore, rollback, the caller's second call, commit — and
+// two identical runs
 // produce byte-identical traces thanks to the virtual clock (wall
 // clock stubbed).
 func TestObserverTraceReconstructsTimeline(t *testing.T) {
@@ -222,19 +224,21 @@ func TestObserverTraceReconstructsTimeline(t *testing.T) {
 		tb.m.SetFaultHook(in)
 		defer tb.m.SetFaultHook(nil)
 		c, err := New(tb.m, tb.currentRoot(t), Options{
-			RedirectTo:  tb.errPathAddr(t),
-			MaxAttempts: 2,
-			Observer:    o,
+			RedirectTo: tb.errPathAddr(t),
+			Observer:   o,
 		})
 		if err != nil {
 			t.Fatal(err)
+		}
+		if _, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry); !errors.Is(err, ErrRolledBack) {
+			t.Fatalf("first call = %v, want ErrRolledBack", err)
 		}
 		stats, err := c.DisableBlocks("webdav-write", blocks, PolicyBlockEntry)
 		if err != nil {
 			t.Fatalf("transient fault not rescued: %v", err)
 		}
-		if stats.Attempts != 2 || stats.RolledBack {
-			t.Fatalf("stats = %+v, want Attempts=2 RolledBack=false", stats)
+		if stats.Attempts != 1 || stats.RolledBack {
+			t.Fatalf("stats = %+v, want Attempts=1 RolledBack=false", stats)
 		}
 		// Post-rewrite traffic: the disabled feature traps and redirects,
 		// feeding the kernel-side counters (ticks, syscalls, traps). It
@@ -271,41 +275,38 @@ func TestObserverTraceReconstructsTimeline(t *testing.T) {
 		}
 	}
 
-	// The timeline: restore fails on attempt 1 (with the fault visible
-	// between its start and end), rollback runs clean, attempt 2
-	// restores, passes health, and commits.
-	find := func(kind obs.Kind, name string, attempt int) *obs.Event {
+	// The timeline: the first call's restore fails (with the fault
+	// visible between its start and end) and its rollback runs clean;
+	// the second call restores, passes health, and commits. Each call
+	// stamps its checkpoint as attempt 0 and its later phases as 1.
+	findAll := func(kind obs.Kind, name string, attempt int) []*obs.Event {
+		var out []*obs.Event
 		for i := range events {
 			ev := &events[i]
 			if ev.Kind == kind && ev.Name == name && ev.Attempt == attempt {
-				return ev
+				out = append(out, ev)
 			}
 		}
-		return nil
+		return out
 	}
 	for _, name := range []string{"checkpoint", "validate"} {
-		if find(obs.KindPhaseStart, name, 0) == nil {
-			t.Errorf("missing pre-loop phase %q", name)
+		if n := len(findAll(obs.KindPhaseStart, name, 0)); n != 2 {
+			t.Errorf("phase %q attempt 0 started %d times, want once per call", name, n)
 		}
 	}
-	for attempt := 1; attempt <= 2; attempt++ {
-		for _, name := range []string{"decode", "edit", "validate", "kill", "restore"} {
-			if find(obs.KindPhaseStart, name, attempt) == nil {
-				t.Errorf("missing phase %q attempt %d", name, attempt)
-			}
+	for _, name := range []string{"decode", "edit", "validate", "kill", "restore"} {
+		if n := len(findAll(obs.KindPhaseStart, name, 1)); n != 2 {
+			t.Errorf("phase %q attempt 1 started %d times, want once per call", name, n)
 		}
 	}
-	r1 := find(obs.KindPhaseEnd, "restore", 1)
-	if r1 == nil || r1.Err == "" {
-		t.Fatalf("restore attempt 1 end = %+v, want failed", r1)
+	restores := findAll(obs.KindPhaseEnd, "restore", 1)
+	if len(restores) != 2 || restores[0].Err == "" || restores[1].Err != "" {
+		t.Fatalf("restore ends = %+v, want failed then clean", restores)
 	}
-	r2 := find(obs.KindPhaseEnd, "restore", 2)
-	if r2 == nil || r2.Err != "" {
-		t.Fatalf("restore attempt 2 end = %+v, want success", r2)
-	}
-	rb := find(obs.KindPhaseEnd, "rollback", 1)
-	if rb == nil || rb.Err != "" {
-		t.Fatalf("rollback attempt 1 end = %+v, want clean", rb)
+	r1 := restores[0]
+	rbs := findAll(obs.KindPhaseEnd, "rollback", 1)
+	if len(rbs) != 1 || rbs[0].Err != "" {
+		t.Fatalf("rollback ends = %+v, want one clean", rbs)
 	}
 	var fault *obs.Event
 	for i := range events {
@@ -316,16 +317,19 @@ func TestObserverTraceReconstructsTimeline(t *testing.T) {
 	if fault == nil || !strings.HasPrefix(fault.Name, faultinject.PrefixRestore) {
 		t.Fatalf("fault event = %+v, want a criu.restore.* site", fault)
 	}
-	if start := find(obs.KindPhaseStart, "restore", 1); fault.Seq < start.Seq || fault.Seq > r1.Seq {
-		t.Errorf("fault (seq %d) outside restore attempt 1 span [%d, %d]",
+	if start := findAll(obs.KindPhaseStart, "restore", 1)[0]; fault.Seq < start.Seq || fault.Seq > r1.Seq {
+		t.Errorf("fault (seq %d) outside the first restore span [%d, %d]",
 			fault.Seq, start.Seq, r1.Seq)
 	}
-	commit := find(obs.KindPoint, "rewrite.commit", 0)
-	if commit == nil || commit.N != 2 {
-		t.Fatalf("commit point = %+v, want N=2", commit)
+	commits := findAll(obs.KindPoint, "rewrite.commit", 0)
+	if len(commits) != 1 || commits[0].N != 1 {
+		t.Fatalf("commit points = %+v, want one with N=1", commits)
 	}
-	if h := find(obs.KindPhaseEnd, "health", 2); h == nil || h.Err != "" {
-		t.Fatalf("health attempt 2 end = %+v, want clean", h)
+	if commits[0].Seq < rbs[0].Seq {
+		t.Errorf("commit (seq %d) before the rollback (seq %d)", commits[0].Seq, rbs[0].Seq)
+	}
+	if h := findAll(obs.KindPhaseEnd, "health", 1); len(h) != 1 || h[0].Err != "" {
+		t.Fatalf("health ends = %+v, want one clean", h)
 	}
 
 	// Summarize agrees: restore ran twice with one failure, nothing

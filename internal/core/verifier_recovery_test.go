@@ -196,9 +196,10 @@ func TestInjectHandlerUnwindsOnArmFailure(t *testing.T) {
 }
 
 // TestDisableRetriesThroughArmFault: end-to-end, a transient arm
-// fault inside DisableBlocks is retried by the rewrite transaction
-// and commits with exactly one handler mapping — the unwind keeps
-// attempt N's leak out of attempt N+1's images.
+// fault fails the first DisableBlocks before the commit point with
+// the guest untouched; the caller's second call commits with exactly
+// one handler mapping — the unwind keeps the failed call's leak out of
+// the next call's images.
 func TestDisableRetriesThroughArmFault(t *testing.T) {
 	tb := newTestbed(t, webserv.Config{Name: "lighttpd", Port: 8189})
 	blocks := tb.profileFeatures(t, wantedReqs, undesiredReqs)
@@ -206,19 +207,25 @@ func TestDisableRetriesThroughArmFault(t *testing.T) {
 	in.FailOnce(faultinject.SiteInjectArm)
 	tb.m.SetFaultHook(in)
 
-	c, err := New(tb.m, tb.proc.PID(), Options{
-		RedirectTo:  tb.errPathAddr(t),
-		MaxAttempts: 2,
-	})
+	c, err := New(tb.m, tb.proc.PID(), Options{RedirectTo: tb.errPathAddr(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
+	pid := c.PID()
 	stats, err := c.DisableBlocks("webdav", blocks, PolicyBlockEntry)
-	if err != nil {
-		t.Fatalf("disable with transient arm fault: %v", err)
+	if !errors.Is(err, faultinject.ErrInjected) || stats.RolledBack || c.PID() != pid {
+		t.Fatalf("first call: err=%v RolledBack=%v pid %d -> %d, want a pre-commit arm fault",
+			err, stats.RolledBack, pid, c.PID())
 	}
-	if stats.Attempts != 2 {
-		t.Errorf("attempts = %d, want 2 (first arm faulted)", stats.Attempts)
+	if got := tb.request(t, "PUT /f x\n"); !strings.Contains(got, "201") {
+		t.Fatalf("PUT after failed disable -> %q, want untouched 201", got)
+	}
+	stats, err = c.DisableBlocks("webdav", blocks, PolicyBlockEntry)
+	if err != nil {
+		t.Fatalf("disable after transient arm fault: %v", err)
+	}
+	if stats.Attempts != 1 || stats.RolledBack {
+		t.Errorf("stats = %+v, want Attempts=1 RolledBack=false", stats)
 	}
 	if got := tb.request(t, "PUT /f x\n"); !strings.Contains(got, "403") {
 		t.Fatalf("PUT after disable -> %q, want 403", got)

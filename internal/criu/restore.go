@@ -36,10 +36,7 @@ func Restore(m *kernel.Machine, set *ImageSet) ([]*kernel.Process, map[int]int, 
 		if failed != nil {
 			out = append(out, failed)
 		}
-		for i := len(out) - 1; i >= 0; i-- {
-			m.Kill(out[i].PID()) // releases descriptors and bound ports
-			m.Remove(out[i].PID())
-		}
+		m.Reap(out) // releases descriptors and bound ports
 		return nil, nil, fmt.Errorf("restore pid %d: %w", oldPID, err)
 	}
 	for _, oldPID := range set.PIDs {

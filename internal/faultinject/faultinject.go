@@ -251,8 +251,9 @@ func (in *Injector) FailAt(sitePrefix string, n int) {
 func (in *Injector) FailOnce(sitePrefix string) { in.FailAt(sitePrefix, 1) }
 
 // FailTransient arms hits [n, n+times) of sitePrefix to fail; later
-// hits succeed again — the transient-fault shape MaxAttempts retries
-// are built for. times < 0 fails every hit from n on (a hard fault).
+// hits succeed again — the transient-fault shape a caller's retry
+// (a second Rewrite, a fleet requeue, a supervisor rung) rides out.
+// times < 0 fails every hit from n on (a hard fault).
 func (in *Injector) FailTransient(sitePrefix string, n, times int) {
 	if n < 1 {
 		n = 1

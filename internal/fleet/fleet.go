@@ -369,12 +369,12 @@ func New(template *kernel.Machine, rootPID int, cfg Config) (*Fleet, error) {
 		// expected bytes another replica deposited.
 		opts.AttestStore = f.store
 		userBC := cfg.Core.BeforeCommit
-		opts.BeforeCommit = func(attempt int) error {
+		opts.BeforeCommit = func() error {
 			if f.halted.Load() {
 				return ErrHalted
 			}
 			if userBC != nil {
-				return userBC(attempt)
+				return userBC()
 			}
 			return nil
 		}

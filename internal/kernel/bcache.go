@@ -361,9 +361,9 @@ func (m *Memory) CachedBlocks() []BlockInfo {
 }
 
 // BlockCacheStats aggregates the translation-cache counters across
-// every process on the machine.
+// every process on the machine, removed ones included.
 func (m *Machine) BlockCacheStats() BlockCacheStats {
-	var s BlockCacheStats
+	s := m.removedCache
 	for _, p := range m.procs {
 		s.Add(p.mem.BlockCacheStats())
 	}

@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"errors"
 	"testing"
 )
 
@@ -201,6 +202,32 @@ func TestBlockCacheHitsAndChaining(t *testing.T) {
 	}
 	if !sawSuper {
 		t.Fatalf("no superblock spanning a jump found in %v", p.Mem().CachedBlocks())
+	}
+}
+
+// TestReapKeepsBlockCacheCounters: removing a process drops it from
+// the table but not from the machine's block-cache counters; only the
+// currently-cached gauges fall to zero.
+func TestReapKeepsBlockCacheCounters(t *testing.T) {
+	m := NewMachine()
+	m.SetExecMode(ModeTranslate)
+	p, err := m.Load(buildExe(t, "test", corpusPrograms["jmp-chain"]))
+	if err != nil {
+		t.Fatalf("load: %v", err)
+	}
+	m.Run(100_000)
+	before := m.BlockCacheStats()
+	if before.Hits == 0 || before.Blocks == 0 {
+		t.Fatalf("no cache activity: %+v", before)
+	}
+	m.Reap([]*Process{p})
+	if _, err := m.Process(p.PID()); !errors.Is(err, ErrNoProcess) {
+		t.Fatalf("reaped pid still resolves: %v", err)
+	}
+	want := before
+	want.Blocks, want.CachedInsts = 0, 0
+	if got := m.BlockCacheStats(); got != want {
+		t.Fatalf("after reap %+v, want %+v", got, want)
 	}
 }
 

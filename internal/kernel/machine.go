@@ -80,6 +80,7 @@ type Machine struct {
 	execMode      ExecMode
 	cacheDivs     []CacheDivergence
 	cacheDivTotal uint64
+	removedCache  BlockCacheStats // counters of removed processes
 
 	// Tick-progress watchdog: fn fires between scheduler rounds once
 	// the virtual clock has advanced by at least wdEvery ticks since
@@ -288,9 +289,26 @@ func (m *Machine) Kill(pid int) error {
 	return nil
 }
 
-// Remove deletes an exited process table entry.
+// Remove deletes an exited process table entry. Its block-cache
+// counters stay in BlockCacheStats.
 func (m *Machine) Remove(pid int) {
+	p, ok := m.procs[pid]
+	if !ok {
+		return
+	}
+	s := p.mem.BlockCacheStats()
+	s.Blocks, s.CachedInsts = 0, 0 // nothing of it stays cached
+	m.removedCache.Add(s)
 	delete(m.procs, pid)
+}
+
+// Reap kills and removes procs, children before parents: procs lists
+// parents first, as dumps, restores and Processes do.
+func (m *Machine) Reap(procs []*Process) {
+	for i := len(procs) - 1; i >= 0; i-- {
+		m.terminate(procs[i], 137, 0)
+		m.Remove(procs[i].pid)
+	}
 }
 
 // NewRawProcess creates an empty process shell (restore path). The
@@ -363,7 +381,7 @@ func (m *Machine) terminate(p *Process, code int, sig Signal) {
 	p.exited = true
 	p.exitCode = code
 	p.killedBy = sig
-	p.mem.tlb = nil // dead processes stay in the table; their TLBs must not
+	p.mem.tlb = nil // an exited process may stay in the table until removed; drop its TLB
 	for _, d := range p.fds {
 		m.closeFD(p, d)
 	}

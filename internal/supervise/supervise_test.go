@@ -535,7 +535,7 @@ func healChaosScenario(t *testing.T, site string, seed int64) {
 	in := faultinject.New(seed)
 	in.FailTransient(site, 1+int(seed%2), 1)
 	b.m.SetFaultHook(in)
-	cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t), Verifier: true, MaxAttempts: 3})
+	cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t), Verifier: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -580,7 +580,7 @@ func stormChaosScenario(t *testing.T, site string, seed int64) {
 	}
 	in.FailTransient(site, 1+int(seed%2), 1)
 	b.m.SetFaultHook(in)
-	cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t), MaxAttempts: 3})
+	cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -682,7 +682,7 @@ func TestSupervisorBreakerDeterministicAcrossSeeds(t *testing.T) {
 		in := faultinject.New(seed)
 		in.FailTransient(faultinject.SiteSuperviseReenable, 1, 1)
 		b.m.SetFaultHook(in)
-		cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t), MaxAttempts: 3})
+		cust, err := core.New(b.m, b.root, core.Options{RedirectTo: b.errPath(t)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -736,7 +736,7 @@ func TestSupervisorTraceReplaysByteIdentical(t *testing.T) {
 		o := obs.New(8192)
 		o.SetWallClock(func() time.Time { return time.Unix(0, 0) })
 		cust, err := core.New(b.m, b.root, core.Options{
-			RedirectTo: b.errPath(t), MaxAttempts: 3, Observer: o,
+			RedirectTo: b.errPath(t), Observer: o,
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -132,10 +132,10 @@ func TestFaultInjectedRestoreRollsBackThenSucceeds(t *testing.T) {
 	}
 }
 
-// TestMaxAttemptsRetriesTransientFault: with MaxAttempts 2 a
-// transient restore fault is absorbed; the rewrite commits on the
-// second attempt and reports it.
-func TestMaxAttemptsRetriesTransientFault(t *testing.T) {
+// TestCallerRetriesTransientFault: a transient restore fault rolls
+// the first rewrite back with the guest still serving; the caller's
+// second call commits.
+func TestCallerRetriesTransientFault(t *testing.T) {
 	sess, blocks, errAddr := profileWebDAV(t, 8092)
 	in := NewFaultInjector(7)
 	in.FailTransient("criu.restore.", 1, 1)
@@ -143,18 +143,24 @@ func TestMaxAttemptsRetriesTransientFault(t *testing.T) {
 
 	cust, err := NewCustomizer(sess.Machine, sess.PID(), CustomizerOptions{
 		RedirectTo:  errAddr,
-		MaxAttempts: 2,
 		HealthCheck: sess.CanaryProbe("GET /\n", "200"),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	stats, err := cust.DisableBlocks("webdav", blocks, PolicyBlockEntry)
-	if err != nil {
-		t.Fatalf("rewrite with retry budget: %v", err)
+	if !errors.Is(err, ErrRolledBack) || !stats.RolledBack {
+		t.Fatalf("first call: err=%v RolledBack=%v, want ErrRolledBack/true", err, stats.RolledBack)
 	}
-	if stats.Attempts != 2 || stats.RolledBack {
-		t.Fatalf("Attempts=%d RolledBack=%v, want 2/false", stats.Attempts, stats.RolledBack)
+	if resp := sess.MustRequest("GET /\n"); !strings.Contains(resp, "200") {
+		t.Fatalf("GET after rollback -> %q", resp)
+	}
+	stats, err = cust.DisableBlocks("webdav", blocks, PolicyBlockEntry)
+	if err != nil {
+		t.Fatalf("second call: %v", err)
+	}
+	if stats.Attempts != 1 || stats.RolledBack {
+		t.Fatalf("Attempts=%d RolledBack=%v, want 1/false", stats.Attempts, stats.RolledBack)
 	}
 	if resp := sess.MustRequest("PUT /f x\n"); !strings.Contains(resp, "403") {
 		t.Fatalf("PUT after retried customization -> %q", resp)
